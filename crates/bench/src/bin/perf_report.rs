@@ -3,21 +3,15 @@
 //! `BENCH_<label>.json` snapshot, and diffs snapshots as a CI regression
 //! gate. Also doubles as a standalone trace analyzer.
 //!
-//! Modes (first matching flag wins):
-//!
-//! ```text
-//! perf_report [--label L] [--out FILE]        run suite, write BENCH_L.json
-//! perf_report --check BASELINE [--out FILE]   run suite, diff vs baseline,
-//!             [--time-tol X] [--counter-tol Y]  exit 1 on regression
-//! perf_report --diff A.json B.json            diff two existing snapshots
-//! perf_report --analyze TRACE.jsonl           span tree + aggregates +
-//!             [--chrome OUT.json]               critical path (+ Perfetto export)
-//! ```
+//! The run / `--check` / `--diff` modes are the shared [`nde_bench::gate`]
+//! protocol; `--analyze` (checked first) is this binary's own. See
+//! [`PROTOCOL`] for the usage line.
 //!
 //! Per-workload trace files land in `NDE_PERF_TRACE_DIR` (default: the
 //! system temp dir) and are left on disk so CI can upload them as
 //! artifacts when the gate fails. See docs/OBSERVABILITY.md.
 
+use nde_bench::gate::{self, Args};
 use nde_bench::perf::{self, DiffThresholds, Snapshot};
 use nde_core::cleaning::iterative_cleaning_cached;
 use nde_core::pipeline_scenario::{
@@ -171,19 +165,12 @@ fn workload_fig3_quality() -> Option<u64> {
     Some(out_on.num_rows() as u64)
 }
 
-fn trace_dir() -> PathBuf {
-    match std::env::var_os("NDE_PERF_TRACE_DIR") {
-        Some(dir) => PathBuf::from(dir),
-        None => std::env::temp_dir(),
-    }
-}
-
 /// A suite entry: workload name plus the function that runs it and
 /// returns its work volume (rows) for throughput, if meaningful.
 type Workload = (&'static str, fn() -> Option<u64>);
 
 fn run_suite(label: &str) -> Snapshot {
-    let dir = trace_dir();
+    let dir = std::env::var_os("NDE_PERF_TRACE_DIR").map_or_else(std::env::temp_dir, PathBuf::from);
     let suite: [Workload; 4] = [
         ("fig2_cleaning", workload_fig2_cleaning),
         ("fig3_pipeline", workload_fig3_pipeline),
@@ -214,41 +201,36 @@ fn run_suite(label: &str) -> Snapshot {
     }
 }
 
-fn load_snapshot(path: &str) -> Result<Snapshot, String> {
-    let contents = std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
-    Snapshot::from_json(&contents).map_err(|e| format!("{path}: {e}"))
+fn thresholds_from(args: &Args) -> Result<DiffThresholds, String> {
+    let default = DiffThresholds::default();
+    Ok(DiffThresholds {
+        time_ratio: args
+            .parse_value("--time-tol")?
+            .unwrap_or(default.time_ratio),
+        counter_ratio: args
+            .parse_value("--counter-tol")?
+            .unwrap_or(default.counter_ratio),
+    })
 }
 
-fn thresholds_from(args: &Args) -> DiffThresholds {
-    let mut t = DiffThresholds::default();
-    if let Some(v) = args.get("--time-tol") {
-        t.time_ratio = v.parse().expect("--time-tol takes a float ratio");
-    }
-    if let Some(v) = args.get("--counter-tol") {
-        t.counter_ratio = v.parse().expect("--counter-tol takes a float fraction");
-    }
-    t
-}
+const PROTOCOL: gate::Protocol<Snapshot> = gate::Protocol {
+    name: "perf_report",
+    prefix: "BENCH",
+    usage: "perf_report [--label L] [--out FILE]
+    | --check BASELINE [--out FILE] [--time-tol X] [--counter-tol Y]
+    | --diff A.json B.json [--time-tol X] [--counter-tol Y]
+    | --analyze TRACE.jsonl [--chrome OUT.json]",
+    flags: &[
+        ("--time-tol", 1),
+        ("--counter-tol", 1),
+        ("--analyze", 1),
+        ("--chrome", 1),
+    ],
+    to_json: Snapshot::to_json,
+    from_json: Snapshot::from_json,
+};
 
-/// Minimal `--flag value` argument map (no external parser available).
-struct Args(Vec<String>);
-
-impl Args {
-    fn get(&self, flag: &str) -> Option<&str> {
-        self.0
-            .iter()
-            .position(|a| a == flag)
-            .and_then(|i| self.0.get(i + 1))
-            .map(String::as_str)
-    }
-
-    fn has(&self, flag: &str) -> bool {
-        self.0.iter().any(|a| a == flag)
-    }
-}
-
-fn analyze_mode(args: &Args) -> ExitCode {
-    let path = args.get("--analyze").expect("--analyze takes a file");
+fn analyze_mode(path: &str, chrome_out: Option<&str>) -> ExitCode {
     let data = match analyze::parse_jsonl_file(Path::new(path)) {
         Ok(data) => data,
         Err(e) => {
@@ -298,7 +280,7 @@ fn analyze_mode(args: &Args) -> ExitCode {
         }
     }
 
-    if let Some(out) = args.get("--chrome") {
+    if let Some(out) = chrome_out {
         let chrome = analyze::to_chrome_trace(&data.spans);
         if let Err(e) = std::fs::write(out, chrome) {
             eprintln!("perf_report: cannot write {out}: {e}");
@@ -310,84 +292,17 @@ fn analyze_mode(args: &Args) -> ExitCode {
 }
 
 fn main() -> ExitCode {
-    let args = Args(std::env::args().skip(1).collect());
-
-    if args.has("--analyze") {
-        return analyze_mode(&args);
+    let args = match PROTOCOL.parse_args() {
+        Ok(args) => args,
+        Err(code) => return code,
+    };
+    if let Some(path) = args.get("--analyze") {
+        return analyze_mode(path, args.get("--chrome"));
     }
-
-    if args.has("--diff") {
-        let pos = args.0.iter().position(|a| a == "--diff").unwrap();
-        let (Some(a), Some(b)) = (args.0.get(pos + 1), args.0.get(pos + 2)) else {
-            eprintln!("usage: perf_report --diff BASE.json NEW.json");
-            return ExitCode::FAILURE;
-        };
-        let (base, new) = match (load_snapshot(a), load_snapshot(b)) {
-            (Ok(base), Ok(new)) => (base, new),
-            (Err(e), _) | (_, Err(e)) => {
-                eprintln!("perf_report: {e}");
-                return ExitCode::FAILURE;
-            }
-        };
-        let report = perf::diff_snapshots(&base, &new, &thresholds_from(&args));
-        print!("{}", report.render());
-        return if report.passed() {
-            ExitCode::SUCCESS
-        } else {
-            ExitCode::FAILURE
-        };
+    match thresholds_from(&args) {
+        Ok(t) => PROTOCOL.run(&args, run_suite, |base, new| {
+            perf::diff_snapshots(base, new, &t)
+        }),
+        Err(e) => PROTOCOL.usage_error(&e),
     }
-
-    if let Some(baseline_path) = args.get("--check") {
-        let base = match load_snapshot(baseline_path) {
-            Ok(base) => base,
-            Err(e) => {
-                eprintln!("perf_report: {e}");
-                return ExitCode::FAILURE;
-            }
-        };
-        let new = run_suite("check");
-        if let Some(out) = args.get("--out") {
-            if let Err(e) = std::fs::write(out, new.to_json()) {
-                eprintln!("perf_report: cannot write {out}: {e}");
-                return ExitCode::FAILURE;
-            }
-            eprintln!("perf_report: snapshot written to {out}");
-        }
-        println!(
-            "Checking against {baseline_path} (baseline: {} threads, this run: {} threads)",
-            base.threads, new.threads
-        );
-        let report = perf::diff_snapshots(&base, &new, &thresholds_from(&args));
-        print!("{}", report.render());
-        return if report.passed() {
-            ExitCode::SUCCESS
-        } else {
-            ExitCode::FAILURE
-        };
-    }
-
-    // Default: run the suite and write BENCH_<label>.json.
-    let label = args.get("--label").unwrap_or("baseline").to_owned();
-    let snapshot = run_suite(&label);
-    let out = args
-        .get("--out")
-        .map(str::to_owned)
-        .unwrap_or_else(|| format!("BENCH_{label}.json"));
-    if let Err(e) = std::fs::write(&out, snapshot.to_json()) {
-        eprintln!("perf_report: cannot write {out}: {e}");
-        return ExitCode::FAILURE;
-    }
-    println!(
-        "Snapshot ({} workloads, {} threads) written to {out}.",
-        snapshot.workloads.len(),
-        snapshot.threads
-    );
-    for w in &snapshot.workloads {
-        match w.rows_per_sec {
-            Some(rps) => println!("  {}: {:.1}ms ({:.0} rows/s)", w.name, w.wall_ms, rps),
-            None => println!("  {}: {:.1}ms", w.name, w.wall_ms),
-        }
-    }
-    ExitCode::SUCCESS
 }

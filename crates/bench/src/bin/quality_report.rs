@@ -4,23 +4,17 @@
 //! snapshots as a CI data-quality gate. Also runs the error-injection
 //! drift experiment behind EXPERIMENTS.md's "drift detection" table.
 //!
-//! Modes (first matching flag wins):
-//!
-//! ```text
-//! quality_report [--label L] [--out FILE]      run pipeline, write PROFILE_L.json
-//! quality_report --check BASELINE [--out FILE] run pipeline, score drift vs
-//!                                                baseline, exit 1 on FAIL tier
-//! quality_report --diff A.json B.json          score two existing snapshots
-//! quality_report --experiment                  inject each error family at
-//!                                                increasing rates; print which
-//!                                                drift metric fires first
-//! ```
+//! The run / `--check` / `--diff` modes are the shared [`nde_bench::gate`]
+//! protocol; `--experiment` (checked first) injects each error family at
+//! increasing rates and prints which drift metric fires first. See
+//! [`PROTOCOL`] for the usage line.
 //!
 //! The pipeline inputs are generated from a fixed seed and every sketch
 //! is deterministic, so `--check` against the committed baseline expects
 //! *zero* drift — any movement at all is a behavioural change in the
 //! pipeline or the profiler. See docs/OBSERVABILITY.md.
 
+use nde_bench::gate;
 use nde_bench::quality::{check_snapshots, ProfileSnapshot};
 use nde_core::pipeline_scenario::{figure3_plan, pipeline_sources};
 use nde_datagen::errors::{flip_labels, inject_missing, inject_shift, Mechanism};
@@ -69,27 +63,17 @@ fn run_suite(label: &str) -> ProfileSnapshot {
     ProfileSnapshot::from_run(label, ops)
 }
 
-fn load_snapshot(path: &str) -> Result<ProfileSnapshot, String> {
-    let contents = std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
-    ProfileSnapshot::from_json(&contents).map_err(|e| format!("{path}: {e}"))
-}
-
-/// Minimal `--flag value` argument map (no external parser available).
-struct Args(Vec<String>);
-
-impl Args {
-    fn get(&self, flag: &str) -> Option<&str> {
-        self.0
-            .iter()
-            .position(|a| a == flag)
-            .and_then(|i| self.0.get(i + 1))
-            .map(String::as_str)
-    }
-
-    fn has(&self, flag: &str) -> bool {
-        self.0.iter().any(|a| a == flag)
-    }
-}
+const PROTOCOL: gate::Protocol<ProfileSnapshot> = gate::Protocol {
+    name: "quality_report",
+    prefix: "PROFILE",
+    usage: "quality_report [--label L] [--out FILE]
+    | --check BASELINE [--out FILE]
+    | --diff A.json B.json
+    | --experiment",
+    flags: &[("--experiment", 0)],
+    to_json: ProfileSnapshot::to_json,
+    from_json: ProfileSnapshot::from_json,
+};
 
 /// The final operator's profile — the pipeline output the experiment
 /// scores drift on.
@@ -222,86 +206,14 @@ fn experiment_mode() -> ExitCode {
 }
 
 fn main() -> ExitCode {
-    let args = Args(std::env::args().skip(1).collect());
-
+    let args = match PROTOCOL.parse_args() {
+        Ok(args) => args,
+        Err(code) => return code,
+    };
     if args.has("--experiment") {
         return experiment_mode();
     }
-
-    if args.has("--diff") {
-        let pos = args.0.iter().position(|a| a == "--diff").unwrap();
-        let (Some(a), Some(b)) = (args.0.get(pos + 1), args.0.get(pos + 2)) else {
-            eprintln!("usage: quality_report --diff BASE.json NEW.json");
-            return ExitCode::FAILURE;
-        };
-        let (base, new) = match (load_snapshot(a), load_snapshot(b)) {
-            (Ok(base), Ok(new)) => (base, new),
-            (Err(e), _) | (_, Err(e)) => {
-                eprintln!("quality_report: {e}");
-                return ExitCode::FAILURE;
-            }
-        };
-        let report = check_snapshots(&base, &new, &DriftThresholds::default());
-        print!("{}", report.render());
-        return if report.passed() {
-            ExitCode::SUCCESS
-        } else {
-            ExitCode::FAILURE
-        };
-    }
-
-    if let Some(baseline_path) = args.get("--check") {
-        let base = match load_snapshot(baseline_path) {
-            Ok(base) => base,
-            Err(e) => {
-                eprintln!("quality_report: {e}");
-                return ExitCode::FAILURE;
-            }
-        };
-        let new = run_suite("check");
-        if let Some(out) = args.get("--out") {
-            if let Err(e) = std::fs::write(out, new.to_json()) {
-                eprintln!("quality_report: cannot write {out}: {e}");
-                return ExitCode::FAILURE;
-            }
-            eprintln!("quality_report: snapshot written to {out}");
-        }
-        println!(
-            "Checking against {baseline_path} ({} baseline operators, {} this run)",
-            base.operators.len(),
-            new.operators.len()
-        );
-        let report = check_snapshots(&base, &new, &DriftThresholds::default());
-        print!("{}", report.render());
-        return if report.passed() {
-            ExitCode::SUCCESS
-        } else {
-            ExitCode::FAILURE
-        };
-    }
-
-    // Default: run the pipeline and write PROFILE_<label>.json.
-    let label = args.get("--label").unwrap_or("baseline").to_owned();
-    let snapshot = run_suite(&label);
-    let out = args
-        .get("--out")
-        .map(str::to_owned)
-        .unwrap_or_else(|| format!("PROFILE_{label}.json"));
-    if let Err(e) = std::fs::write(&out, snapshot.to_json()) {
-        eprintln!("quality_report: cannot write {out}: {e}");
-        return ExitCode::FAILURE;
-    }
-    println!(
-        "Profile snapshot ({} operators) written to {out}.",
-        snapshot.operators.len()
-    );
-    for op in &snapshot.operators {
-        println!(
-            "  {}: {} rows, {} columns",
-            op.key,
-            op.profile.rows,
-            op.profile.columns.len()
-        );
-    }
-    ExitCode::SUCCESS
+    PROTOCOL.run(&args, run_suite, |base, new| {
+        check_snapshots(base, new, &DriftThresholds::default())
+    })
 }

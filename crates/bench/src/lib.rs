@@ -2,7 +2,8 @@
 //! # nde-bench
 //!
 //! The experiment harness: one binary per figure of the paper (E1–E8 in
-//! DESIGN.md) plus the ablation studies (A1–A6) and Criterion microbenches.
+//! DESIGN.md) plus the ablation studies (A1–A6), and the two report gates
+//! (`perf_report`, `quality_report`) that share the [`gate`] driver.
 //! Binaries print tab-separated series suitable for plotting, preceded by a
 //! human-readable narrative that mirrors the outputs shown in the paper's
 //! figures.
@@ -19,6 +20,7 @@
 use std::fmt::Display;
 use std::time::Instant;
 
+pub mod gate;
 pub mod perf;
 pub mod quality;
 
@@ -79,19 +81,6 @@ impl Drop for TraceGuard {
 /// Formats a float with 4 decimals (the harness's standard precision).
 pub fn f4(v: f64) -> String {
     format!("{v:.4}")
-}
-
-/// Marks the boundary between independent iterations (or sections) of a
-/// bench binary: emits the accumulated `nde-trace` summary for the
-/// section just finished, flushes it to the sink, then resets all
-/// process-global trace state so the next section starts from zero.
-/// Without this, counters and span aggregates bleed across sections and
-/// per-section numbers in the trajectory are cumulative instead of
-/// independent.
-pub fn iteration_boundary() {
-    nde_trace::report();
-    nde_trace::flush();
-    nde_trace::reset();
 }
 
 #[cfg(test)]

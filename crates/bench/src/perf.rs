@@ -20,6 +20,7 @@
 //! exception (they scale with worker count) and are skipped when the two
 //! snapshots ran with different thread counts.
 
+use crate::gate::{self, GateReport};
 use nde_trace::json::{self, JsonValue};
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
@@ -69,11 +70,8 @@ impl Snapshot {
     /// Renders the snapshot as pretty-printed JSON (stable key order:
     /// maps are `BTreeMap`s), suitable for committing as a baseline.
     pub fn to_json(&self) -> String {
-        let mut out = String::from("{\n");
-        let _ = writeln!(out, "  \"schema_version\": {},", self.schema_version);
-        out.push_str("  \"label\": \"");
-        json::escape_into(&mut out, &self.label);
-        out.push_str("\",\n");
+        let mut out = String::new();
+        gate::write_header(&mut out, self.schema_version, &self.label);
         let _ = writeln!(out, "  \"threads\": {},", self.threads);
         out.push_str("  \"workloads\": [\n");
         for (w_idx, w) in self.workloads.iter().enumerate() {
@@ -87,42 +85,20 @@ impl Snapshot {
                 Some(v) => json::write_f64(&mut out, v),
                 None => out.push_str("null"),
             }
-            out.push_str(",\n      \"counters\": {");
-            for (i, (name, value)) in w.counters.iter().enumerate() {
-                if i > 0 {
-                    out.push(',');
-                }
-                out.push_str("\n        \"");
-                json::escape_into(&mut out, name);
-                let _ = write!(out, "\": {value}");
-            }
-            out.push_str(if w.counters.is_empty() {
-                "},\n"
-            } else {
-                "\n      },\n"
-            });
-            out.push_str("      \"spans\": {");
-            for (i, (name, span)) in w.spans.iter().enumerate() {
-                if i > 0 {
-                    out.push(',');
-                }
-                out.push_str("\n        \"");
-                json::escape_into(&mut out, name);
-                let _ = write!(
-                    out,
-                    "\": {{\"count\": {}, \"total_us\": {}}}",
-                    span.count, span.total_us
-                );
-            }
-            out.push_str(if w.spans.is_empty() {
-                "}\n"
-            } else {
-                "\n      }\n"
-            });
+            out.push_str(",\n      \"counters\": ");
+            write_members(&mut out, w.counters.iter().map(|(n, v)| (n, v.to_string())));
+            out.push_str(",\n      \"spans\": ");
+            write_members(
+                &mut out,
+                w.spans.iter().map(|(n, s)| {
+                    let total = format!("{{\"count\": {}, \"total_us\": {}}}", s.count, s.total_us);
+                    (n, total)
+                }),
+            );
             out.push_str(if w_idx + 1 < self.workloads.len() {
-                "    },\n"
+                "\n    },\n"
             } else {
-                "    }\n"
+                "\n    }\n"
             });
         }
         out.push_str("  ]\n}\n");
@@ -132,21 +108,7 @@ impl Snapshot {
     /// Parses a snapshot previously written by [`Snapshot::to_json`].
     /// Rejects unknown schema versions.
     pub fn from_json(input: &str) -> Result<Snapshot, String> {
-        let value = json::parse(input).map_err(|e| e.to_string())?;
-        let schema_version = value
-            .get("schema_version")
-            .and_then(JsonValue::as_u64)
-            .ok_or("missing schema_version")?;
-        if schema_version != SCHEMA_VERSION {
-            return Err(format!(
-                "snapshot schema v{schema_version} unsupported (this build reads v{SCHEMA_VERSION}); regenerate the baseline"
-            ));
-        }
-        let label = value
-            .get("label")
-            .and_then(JsonValue::as_str)
-            .ok_or("missing label")?
-            .to_owned();
+        let (value, label) = gate::parse_header(input, SCHEMA_VERSION)?;
         let threads = value
             .get("threads")
             .and_then(JsonValue::as_u64)
@@ -207,12 +169,30 @@ impl Snapshot {
             });
         }
         Ok(Snapshot {
-            schema_version,
+            schema_version: SCHEMA_VERSION,
             label,
             threads,
             workloads,
         })
     }
+}
+
+/// Writes a workload's name-keyed map as a JSON object, one member per
+/// line (`{}` when empty).
+fn write_members<'a>(out: &mut String, members: impl Iterator<Item = (&'a String, String)>) {
+    out.push('{');
+    let mut empty = true;
+    for (name, value) in members {
+        out.push_str(if empty {
+            "\n        \""
+        } else {
+            ",\n        \""
+        });
+        json::escape_into(out, name);
+        let _ = write!(out, "\": {value}");
+        empty = false;
+    }
+    out.push_str(if empty { "}" } else { "\n      }" });
 }
 
 /// Noise thresholds for [`diff_snapshots`].
@@ -237,57 +217,35 @@ impl Default for DiffThresholds {
     }
 }
 
-/// The outcome of comparing two snapshots.
-#[derive(Debug, Clone, Default)]
-pub struct DiffReport {
-    /// Human-readable comparison lines (all metrics, regressed or not).
-    pub lines: Vec<String>,
-    /// Threshold violations; non-empty means the gate fails.
-    pub regressions: Vec<String>,
-    /// Non-gating observations (new workloads, skipped counters, …).
-    pub notes: Vec<String>,
-}
-
-impl DiffReport {
-    /// `true` when no threshold was violated.
-    pub fn passed(&self) -> bool {
-        self.regressions.is_empty()
-    }
-
-    /// Renders the full report as display text.
-    pub fn render(&self) -> String {
-        let mut out = String::new();
-        for line in &self.lines {
-            let _ = writeln!(out, "  {line}");
-        }
-        for note in &self.notes {
-            let _ = writeln!(out, "  note: {note}");
-        }
-        if self.passed() {
-            out.push_str("PASS: no perf regressions beyond thresholds\n");
-        } else {
-            for r in &self.regressions {
-                let _ = writeln!(out, "REGRESSION: {r}");
-            }
-        }
-        out
-    }
+/// The deterministic numbers [`diff_snapshots`] gates tightly, keyed for
+/// display: counter values and span *counts* (span totals are wall time and
+/// stay ungated). `parallel.*` names scale with the worker count and are
+/// left out when `skip_parallel`.
+fn gated_counts(w: &WorkloadResult, skip_parallel: bool) -> BTreeMap<String, u64> {
+    let keep = |name: &&String| !(skip_parallel && name.starts_with("parallel."));
+    let counters = w.counters.iter().filter(|(n, _)| keep(n));
+    let spans = w.spans.iter().filter(|(n, _)| keep(n));
+    counters
+        .map(|(n, &v)| (format!("counter {n}"), v))
+        .chain(spans.map(|(n, span)| (format!("span {n} count"), span.count)))
+        .collect()
 }
 
 /// Compares `new` against `base` under `thresholds`; see the module docs
-/// for what gates and what doesn't.
-pub fn diff_snapshots(base: &Snapshot, new: &Snapshot, thresholds: &DiffThresholds) -> DiffReport {
-    let mut report = DiffReport::default();
+/// for what gates and what doesn't. Regressions are [`GateReport::fail`]
+/// findings; non-gating notes are [`GateReport::warn`] findings.
+pub fn diff_snapshots(base: &Snapshot, new: &Snapshot, thresholds: &DiffThresholds) -> GateReport {
+    let mut report = GateReport::default();
     let threads_differ = base.threads != new.threads;
     if threads_differ {
-        report.notes.push(format!(
+        report.warn(format!(
             "thread counts differ (base {}, new {}): parallel.* counters not gated",
             base.threads, new.threads
         ));
     }
     for base_w in &base.workloads {
         let Some(new_w) = new.workloads.iter().find(|w| w.name == base_w.name) else {
-            report.regressions.push(format!(
+            report.fail(format!(
                 "workload {:?} missing from new snapshot",
                 base_w.name
             ));
@@ -303,7 +261,7 @@ pub fn diff_snapshots(base: &Snapshot, new: &Snapshot, thresholds: &DiffThreshol
             wall_ratio
         ));
         if wall_ratio > thresholds.time_ratio {
-            report.regressions.push(format!(
+            report.fail(format!(
                 "{}: wall time {:.1}ms vs baseline {:.1}ms exceeds {:.1}x threshold",
                 base_w.name, new_w.wall_ms, base_w.wall_ms, thresholds.time_ratio
             ));
@@ -314,68 +272,40 @@ pub fn diff_snapshots(base: &Snapshot, new: &Snapshot, thresholds: &DiffThreshol
                 base_w.name, base_rps, new_rps
             ));
             if new_rps * thresholds.time_ratio < base_rps {
-                report.regressions.push(format!(
+                report.fail(format!(
                     "{}: throughput {:.0} rows/s vs baseline {:.0} exceeds {:.1}x threshold",
                     base_w.name, new_rps, base_rps, thresholds.time_ratio
                 ));
             }
         }
-        for (name, &base_v) in &base_w.counters {
-            if threads_differ && name.starts_with("parallel.") {
-                continue;
-            }
-            let Some(&new_v) = new_w.counters.get(name) else {
-                report.regressions.push(format!(
-                    "{}: counter {name} missing from new snapshot (baseline {base_v})",
+        let new_counts = gated_counts(new_w, threads_differ);
+        for (key, base_v) in gated_counts(base_w, threads_differ) {
+            let Some(&new_v) = new_counts.get(&key) else {
+                report.fail(format!(
+                    "{}: {key} missing from new snapshot (baseline {base_v})",
                     base_w.name
                 ));
                 continue;
             };
             let rel = (new_v as f64 - base_v as f64).abs() / (base_v as f64).max(1.0);
             if rel > thresholds.counter_ratio {
-                report.regressions.push(format!(
-                    "{}: counter {name} drifted {base_v} -> {new_v} ({:.1}% > {:.1}%)",
+                report.fail(format!(
+                    "{}: {key} drifted {base_v} -> {new_v} ({:.1}% > {:.1}%)",
                     base_w.name,
                     rel * 100.0,
                     thresholds.counter_ratio * 100.0
                 ));
             } else if new_v != base_v {
                 report.lines.push(format!(
-                    "{}: counter {name} {base_v} -> {new_v} (within tolerance)",
+                    "{}: {key} {base_v} -> {new_v} (within tolerance)",
                     base_w.name
-                ));
-            }
-        }
-        // Span *counts* are as deterministic as counters; totals are wall
-        // time and stay ungated.
-        for (name, base_span) in &base_w.spans {
-            if threads_differ && name.starts_with("parallel.") {
-                continue;
-            }
-            let Some(new_span) = new_w.spans.get(name) else {
-                report.regressions.push(format!(
-                    "{}: span {name} missing from new snapshot",
-                    base_w.name
-                ));
-                continue;
-            };
-            let rel = (new_span.count as f64 - base_span.count as f64).abs()
-                / (base_span.count as f64).max(1.0);
-            if rel > thresholds.counter_ratio {
-                report.regressions.push(format!(
-                    "{}: span {name} count drifted {} -> {} ({:.1}% > {:.1}%)",
-                    base_w.name,
-                    base_span.count,
-                    new_span.count,
-                    rel * 100.0,
-                    thresholds.counter_ratio * 100.0
                 ));
             }
         }
     }
     for new_w in &new.workloads {
         if !base.workloads.iter().any(|w| w.name == new_w.name) {
-            report.notes.push(format!(
+            report.warn(format!(
                 "workload {:?} is new (not in baseline); re-generate the baseline to gate it",
                 new_w.name
             ));
@@ -432,6 +362,7 @@ pub fn run_workload(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use nde_quality::Severity;
 
     fn sample() -> Snapshot {
         Snapshot {
@@ -502,7 +433,7 @@ mod tests {
         let report = diff_snapshots(&base, &drifted, &thresholds);
         assert!(!report.passed());
         assert!(
-            report.regressions[0].contains("points_scanned"),
+            report.of(Severity::Fail)[0].contains("points_scanned"),
             "{report:?}"
         );
 
@@ -517,7 +448,10 @@ mod tests {
         assert!(!diff_snapshots(&base, &missing, &thresholds).passed());
         let grown = diff_snapshots(&missing, &base, &thresholds);
         assert!(grown.passed());
-        assert!(grown.notes.iter().any(|n| n.contains("is new")));
+        assert!(grown
+            .of(Severity::Warn)
+            .iter()
+            .any(|n| n.contains("is new")));
     }
 
     #[test]
@@ -530,8 +464,11 @@ mod tests {
             .get_mut("parallel.chunks")
             .unwrap() = 9999;
         let report = diff_snapshots(&base, &other, &DiffThresholds::default());
-        assert!(report.passed(), "{:?}", report.regressions);
-        assert!(report.notes.iter().any(|n| n.contains("parallel.*")));
+        assert!(report.passed(), "{:?}", report.findings);
+        assert!(report
+            .of(Severity::Warn)
+            .iter()
+            .any(|n| n.contains("parallel.*")));
 
         // Same thread count: the same drift gates.
         other.threads = 4;

@@ -15,9 +15,9 @@
 //! operator sequence itself — exits non-zero; [`Severity::Warn`] findings
 //! are printed but pass.
 
+use crate::gate::{self, GateReport};
 use nde_quality::{diff_profiles, DriftThresholds, OpProfile, Severity, TableProfile};
 use nde_trace::json::{self, JsonValue};
-use std::fmt::Write as _;
 
 /// Version stamp written into every profile snapshot; bump when the
 /// schema changes shape so stale baselines fail loudly.
@@ -68,11 +68,9 @@ impl ProfileSnapshot {
     /// per operator, so git diffs localize to the operator that changed),
     /// with each profile's sketch state on its operator's line.
     pub fn to_json(&self) -> String {
-        let mut out = String::from("{\n");
-        let _ = writeln!(out, "  \"schema_version\": {},", self.schema_version);
-        out.push_str("  \"label\": \"");
-        json::escape_into(&mut out, &self.label);
-        out.push_str("\",\n  \"operators\": [\n");
+        let mut out = String::new();
+        gate::write_header(&mut out, self.schema_version, &self.label);
+        out.push_str("  \"operators\": [\n");
         for (i, op) in self.operators.iter().enumerate() {
             out.push_str("    {\"key\": \"");
             json::escape_into(&mut out, &op.key);
@@ -92,22 +90,7 @@ impl ProfileSnapshot {
     /// Parses a snapshot previously written by [`ProfileSnapshot::to_json`].
     /// Rejects unknown schema versions.
     pub fn from_json(input: &str) -> Result<ProfileSnapshot, String> {
-        let value = json::parse(input).map_err(|e| e.to_string())?;
-        let schema_version = value
-            .get("schema_version")
-            .and_then(JsonValue::as_u64)
-            .ok_or("missing schema_version")?;
-        if schema_version != PROFILE_SCHEMA_VERSION {
-            return Err(format!(
-                "profile snapshot schema v{schema_version} unsupported (this build reads \
-                 v{PROFILE_SCHEMA_VERSION}); regenerate the baseline"
-            ));
-        }
-        let label = value
-            .get("label")
-            .and_then(JsonValue::as_str)
-            .ok_or("missing label")?
-            .to_owned();
+        let (value, label) = gate::parse_header(input, PROFILE_SCHEMA_VERSION)?;
         let raw_ops = match value.get("operators") {
             Some(JsonValue::Array(items)) => items,
             _ => return Err("missing operators array".into()),
@@ -128,48 +111,10 @@ impl ProfileSnapshot {
             operators.push(OperatorProfile { key, profile });
         }
         Ok(ProfileSnapshot {
-            schema_version,
+            schema_version: PROFILE_SCHEMA_VERSION,
             label,
             operators,
         })
-    }
-}
-
-/// The outcome of checking a run's snapshot against a baseline.
-#[derive(Debug, Clone, Default)]
-pub struct QualityDiffReport {
-    /// Human-readable per-operator drift lines.
-    pub lines: Vec<String>,
-    /// [`Severity::Fail`] findings (including shape changes); non-empty
-    /// means the gate fails.
-    pub failures: Vec<String>,
-    /// [`Severity::Warn`] findings — printed, not gating.
-    pub warnings: Vec<String>,
-}
-
-impl QualityDiffReport {
-    /// `true` when nothing reached the fail tier.
-    pub fn passed(&self) -> bool {
-        self.failures.is_empty()
-    }
-
-    /// Renders the full report as display text.
-    pub fn render(&self) -> String {
-        let mut out = String::new();
-        for line in &self.lines {
-            let _ = writeln!(out, "  {line}");
-        }
-        for w in &self.warnings {
-            let _ = writeln!(out, "WARN: {w}");
-        }
-        if self.passed() {
-            out.push_str("PASS: no data-quality drift beyond fail thresholds\n");
-        } else {
-            for f in &self.failures {
-                let _ = writeln!(out, "FAIL: {f}");
-            }
-        }
-        out
     }
 }
 
@@ -182,10 +127,10 @@ pub fn check_snapshots(
     base: &ProfileSnapshot,
     new: &ProfileSnapshot,
     thresholds: &DriftThresholds,
-) -> QualityDiffReport {
-    let mut report = QualityDiffReport::default();
+) -> GateReport {
+    let mut report = GateReport::default();
     if base.operators.len() != new.operators.len() {
-        report.failures.push(format!(
+        report.fail(format!(
             "operator count changed: baseline has {}, this run has {}",
             base.operators.len(),
             new.operators.len()
@@ -193,7 +138,7 @@ pub fn check_snapshots(
     }
     for (b, n) in base.operators.iter().zip(&new.operators) {
         if b.key != n.key {
-            report.failures.push(format!(
+            report.fail(format!(
                 "pipeline shape changed: baseline operator {:?} vs current {:?}",
                 b.key, n.key
             ));
@@ -209,23 +154,19 @@ pub fn check_snapshots(
             report.lines.push(rendered.trim_end().to_owned());
         }
         for finding in &drift.structural {
-            report.failures.push(format!("{}: {finding}", b.key));
+            report.fail(format!("{}: {finding}", b.key));
         }
         for col in &drift.columns {
-            match col.severity(thresholds) {
-                Severity::Ok => {}
-                tier => {
-                    let (metric, value) = col.dominant_metric(thresholds);
-                    let msg = format!(
+            let tier = col.severity(thresholds);
+            if tier != Severity::Ok {
+                let (metric, value) = col.dominant_metric(thresholds);
+                report.findings.push((
+                    tier,
+                    format!(
                         "{}: column {:?} drifted ({metric}={value:.4})",
                         b.key, col.column
-                    );
-                    if tier == Severity::Fail {
-                        report.failures.push(msg);
-                    } else {
-                        report.warnings.push(msg);
-                    }
-                }
+                    ),
+                ));
             }
         }
     }
@@ -283,8 +224,8 @@ mod tests {
     fn identical_snapshots_pass() {
         let snap = snapshot(vec![op("00:Source[t]", 7)]);
         let report = check_snapshots(&snap, &snap, &DriftThresholds::default());
-        assert!(report.passed(), "{:?}", report.failures);
-        assert!(report.warnings.is_empty());
+        assert!(report.passed(), "{:?}", report.findings);
+        assert!(report.of(Severity::Warn).is_empty());
     }
 
     #[test]
@@ -294,9 +235,9 @@ mod tests {
         let report = check_snapshots(&base, &leaky, &DriftThresholds::default());
         assert!(!report.passed());
         assert!(
-            report.failures[0].contains("null_rate"),
+            report.of(Severity::Fail)[0].contains("null_rate"),
             "{:?}",
-            report.failures
+            report.findings
         );
     }
 
@@ -306,10 +247,13 @@ mod tests {
         let reordered = snapshot(vec![op("00:Filter[x > 0]", 7), op("01:Source[t]", 7)]);
         let report = check_snapshots(&base, &reordered, &DriftThresholds::default());
         assert!(!report.passed());
-        assert!(report.failures[0].contains("shape changed"));
+        assert!(report.of(Severity::Fail)[0].contains("shape changed"));
 
         let truncated = snapshot(vec![op("00:Source[t]", 7)]);
         let report = check_snapshots(&base, &truncated, &DriftThresholds::default());
-        assert!(report.failures.iter().any(|f| f.contains("operator count")));
+        assert!(report
+            .of(Severity::Fail)
+            .iter()
+            .any(|f| f.contains("operator count")));
     }
 }

@@ -1,72 +1,14 @@
-//! Harness-level observability guarantees: `iteration_boundary()` really
-//! isolates sections (the regression that motivated it was cumulative
-//! counters bleeding across bench sections), and `perf::run_workload`
-//! produces a trace-backed [`WorkloadResult`]. Trace state is
-//! process-global, so the tests serialize on one mutex.
+//! Harness-level observability guarantee: `perf::run_workload` produces a
+//! trace-backed [`WorkloadResult`] isolated from earlier trace state.
 //!
 //! [`WorkloadResult`]: nde_bench::perf::WorkloadResult
 
 use nde_bench::perf;
 use nde_trace as trace;
-use std::path::PathBuf;
-use std::sync::{Mutex, MutexGuard, OnceLock};
-
-fn guard() -> MutexGuard<'static, ()> {
-    static LOCK: OnceLock<Mutex<()>> = OnceLock::new();
-    let guard = LOCK
-        .get_or_init(|| Mutex::new(()))
-        .lock()
-        .unwrap_or_else(|poisoned| poisoned.into_inner());
-    trace::configure(trace::Sink::Off, None);
-    trace::reset();
-    guard
-}
-
-fn temp_path(name: &str) -> PathBuf {
-    let mut path = std::env::temp_dir();
-    path.push(format!(
-        "nde_perf_suite_{}_{name}.jsonl",
-        std::process::id()
-    ));
-    let _ = std::fs::remove_file(&path);
-    path
-}
-
-#[test]
-fn iteration_boundary_isolates_sections() {
-    let _g = guard();
-    let path = temp_path("boundary");
-    trace::configure(trace::Sink::Json, Some(&path));
-
-    // Section 1: five increments. Section 2: three. Without the reset the
-    // second report would read 8 (cumulative), not 3.
-    trace::counter("test.section_work").add(5);
-    nde_bench::iteration_boundary();
-    trace::counter("test.section_work").add(3);
-    trace::report();
-    trace::configure(trace::Sink::Off, None); // flush + close
-
-    let contents = std::fs::read_to_string(&path).expect("trace written");
-    let values: Vec<u64> = contents
-        .lines()
-        .filter_map(|l| trace::json::parse(l).ok())
-        .filter(|r| r.get("name").and_then(|v| v.as_str()) == Some("test.section_work"))
-        .map(|r| r.get("value").unwrap().as_u64().unwrap())
-        .collect();
-    assert_eq!(
-        values,
-        vec![5, 3],
-        "each section must report only its own work"
-    );
-
-    trace::reset();
-    let _ = std::fs::remove_file(&path);
-}
 
 #[test]
 fn run_workload_captures_counters_and_spans() {
-    let _g = guard();
-    let path = temp_path("workload");
+    let path = std::env::temp_dir().join(format!("nde_perf_suite_{}.jsonl", std::process::id()));
 
     // Pollute global state first: run_workload must reset it away.
     trace::configure(trace::Sink::Human, None);

@@ -9,16 +9,8 @@ use nde_importance::knn_shapley::knn_shapley;
 use nde_learners::dataset::ClassDataset;
 use nde_learners::metrics::fairness::equalized_odds_difference;
 use nde_learners::traits::Learner;
+use nde_quality::Severity;
 use std::collections::HashSet;
-
-/// Severity of a screening finding.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Severity {
-    /// Suspicious but not necessarily blocking.
-    Warning,
-    /// Blocks the (virtual) CI gate.
-    Error,
-}
 
 /// One screening finding.
 #[derive(Debug, Clone)]
@@ -39,9 +31,9 @@ pub struct ScreeningReport {
 }
 
 impl ScreeningReport {
-    /// Whether the CI gate passes (no `Error`-severity issues).
+    /// Whether the CI gate passes (no [`Severity::Fail`] issues).
     pub fn passed(&self) -> bool {
-        self.issues.iter().all(|i| i.severity != Severity::Error)
+        self.issues.iter().all(|i| i.severity != Severity::Fail)
     }
 
     /// Findings of one check.
@@ -142,7 +134,7 @@ fn check_feature_leakage(report: &mut ScreeningReport, train: &ClassDataset, tes
     if dupes > 0 {
         report.issues.push(Issue {
             check: "leakage",
-            severity: Severity::Error,
+            severity: Severity::Fail,
             detail: format!("{dupes} test rows have feature-identical rows in train"),
         });
     }
@@ -164,7 +156,7 @@ fn check_train_duplicates(
     if fraction > cfg.max_duplicate_fraction {
         report.issues.push(Issue {
             check: "duplicates",
-            severity: Severity::Warning,
+            severity: Severity::Warn,
             detail: format!(
                 "{dupes} duplicated feature rows in train ({:.1}%)",
                 fraction * 100.0
@@ -188,7 +180,7 @@ fn check_label_errors(
     if fraction > cfg.label_error_fraction {
         report.issues.push(Issue {
             check: "label_errors",
-            severity: Severity::Warning,
+            severity: Severity::Warn,
             detail: format!(
                 "{negative} of {} train rows ({:.1}%) have negative KNN-Shapley value",
                 train.len(),
@@ -214,7 +206,7 @@ fn check_covariate_shift(
         if smd > cfg.shift_threshold {
             report.issues.push(Issue {
                 check: "covariate_shift",
-                severity: Severity::Warning,
+                severity: Severity::Warn,
                 detail: format!(
                     "feature {j}: standardized mean difference {smd:.2} between train and test"
                 ),
@@ -249,7 +241,7 @@ fn check_class_imbalance(
     if min_share < cfg.min_class_share {
         report.issues.push(Issue {
             check: "class_imbalance",
-            severity: Severity::Warning,
+            severity: Severity::Warn,
             detail: format!("minority class share {:.1}%", min_share * 100.0),
         });
     }
@@ -269,7 +261,7 @@ fn check_fairness(
     if gap > cfg.max_eo_gap {
         report.issues.push(Issue {
             check: "fairness",
-            severity: Severity::Warning,
+            severity: Severity::Warn,
             detail: format!("equalized odds gap {gap:.2} exceeds {:.2}", cfg.max_eo_gap),
         });
     }
