@@ -122,10 +122,9 @@ pub fn knn_shapley_parallel(
 }
 
 /// Builds a [`NeighborCache`] of the train→valid distance structure — the
-/// one-time cost that [`knn_shapley_cached`], [`knn_utility_cached`] and
-/// [`knn_loo_cached`] amortize across repeated re-scoring (e.g. every
-/// round of a cleaning loop, with [`NeighborCache::update_row`] keeping it
-/// current as rows are repaired).
+/// one-time cost that [`knn_shapley_cached`] amortizes across repeated
+/// re-scoring (e.g. every round of a cleaning loop, with
+/// [`NeighborCache::update_row`] keeping it current as rows are repaired).
 pub fn build_neighbor_cache(train: &ClassDataset, valid: &ClassDataset) -> NeighborCache {
     let _span = nde_trace::span("importance.build_neighbor_cache");
     NeighborCache::build(train.len(), valid.len(), |t, v| {
@@ -179,89 +178,13 @@ pub fn knn_shapley_cached(
     total
 }
 
-/// [`knn_utility_cached`]/[`knn_utility_topk`] shared kernel over any
-/// per-validation-point sorted neighbor lists (full or truncated — only
-/// the first `min(k, n)` entries are ever read).
-fn utility_from_lists<'a, L>(
-    lists: L,
-    n: usize,
-    m: usize,
-    train_y: &[usize],
-    valid_y: &[usize],
-    k: usize,
-) -> f64
-where
-    L: Fn(usize) -> &'a [(f64, u32)] + Sync,
-{
-    let total = par_reduce(
-        m,
-        VALID_CHUNK,
-        0.0f64,
-        |chunk| {
-            let mut acc = 0.0;
-            for v in chunk {
-                let kk = k.min(n);
-                let correct = lists(v)[..kk]
-                    .iter()
-                    .filter(|&&(_, t)| train_y[t as usize] == valid_y[v])
-                    .count();
-                acc += correct as f64 / k as f64;
-            }
-            acc
-        },
-        |acc, part| acc + part,
-    );
-    total / m as f64
-}
-
-/// [`knn_loo_cached`]/[`knn_loo_topk`] shared kernel: only the first
-/// `min(k, n) + 1` entries of each list are ever read (the extra entry is
-/// the successor that inherits the freed vote slot).
-fn loo_from_lists<'a, L>(
-    lists: L,
-    n: usize,
-    m: usize,
-    train_y: &[usize],
-    valid_y: &[usize],
-    k: usize,
-) -> Vec<f64>
-where
-    L: Fn(usize) -> &'a [(f64, u32)] + Sync,
-{
-    let mut total = par_reduce(
-        m,
-        VALID_CHUNK,
-        vec![0.0f64; n],
-        |chunk| {
-            let mut deltas = vec![0.0f64; n];
-            for v in chunk {
-                let yv = valid_y[v];
-                let list = lists(v);
-                let kk = k.min(n);
-                let matches = |e: &(f64, u32)| f64::from(u8::from(train_y[e.1 as usize] == yv));
-                // The successor that inherits the freed vote slot (none
-                // when the training set is no larger than K).
-                let succ = if n > kk { matches(&list[kk]) } else { 0.0 };
-                for entry in &list[..kk] {
-                    deltas[entry.1 as usize] += (matches(entry) - succ) / k as f64;
-                }
-            }
-            deltas
-        },
-        elementwise_add,
-    );
-    total.iter_mut().for_each(|s| *s /= m as f64);
-    total
-}
-
 /// Builds a [`TopKCache`] of the `k + 1` nearest training rows per
 /// validation point via k-d-tree queries — the indexed counterpart of
-/// [`build_neighbor_cache`] for the paths that never read past rank `k`
-/// ([`knn_utility_topk`], [`knn_loo_topk`]; the `+ 1` slot is LOO's
-/// vote-slot successor). On low-dimensional data this skips most of the
-/// O(n·m·d) distance matrix; the lists are bit-identical to the
-/// corresponding prefix of the full cache, and identical for every
-/// `NDE_THREADS` value.
+/// [`build_neighbor_cache`] for [`knn_loo_topk`], which never reads past
+/// rank `k + 1` (the `+ 1` slot is LOO's vote-slot successor). On
+/// low-dimensional data this skips most of the O(n·m·d) distance matrix;
+/// the lists are bit-identical to the corresponding prefix of the full
+/// cache, and identical for every `NDE_THREADS` value.
 pub fn build_topk_cache(train: &ClassDataset, valid: &ClassDataset, k: usize) -> TopKCache {
     let mut span = nde_trace::span("importance.build_topk_cache");
     span.field("n_train", train.len());
@@ -277,73 +200,14 @@ pub fn build_topk_cache(train: &ClassDataset, valid: &ClassDataset, k: usize) ->
     })
 }
 
-/// [`knn_utility`] from a prebuilt [`NeighborCache`].
-pub fn knn_utility_cached(
-    cache: &NeighborCache,
-    train_y: &[usize],
-    valid_y: &[usize],
-    k: usize,
-) -> f64 {
-    let n = cache.n_train();
-    let m = cache.n_valid();
-    if n == 0 || m == 0 {
-        return 0.0;
-    }
-    let k = k.max(1);
-    nde_trace::counter("neighbor_cache.hit").incr();
-    let _span = nde_trace::span("importance.knn_utility_cached");
-    utility_from_lists(|v| cache.neighbors(v), n, m, train_y, valid_y, k)
-}
-
-/// [`knn_utility`] from a prebuilt [`TopKCache`] (built with depth ≥ `k`,
-/// as [`build_topk_cache`] guarantees). Equals [`knn_utility_cached`] on
-/// the full cache bit-for-bit: both read the identical `k`-prefix.
-pub fn knn_utility_topk(cache: &TopKCache, train_y: &[usize], valid_y: &[usize], k: usize) -> f64 {
-    let n = cache.n_train();
-    let m = cache.n_valid();
-    if n == 0 || m == 0 {
-        return 0.0;
-    }
-    let k = k.max(1);
-    assert!(
-        cache.k().min(n) >= k.min(n),
-        "TopKCache depth {} is too shallow for k = {k}",
-        cache.k()
-    );
-    nde_trace::counter("neighbor_cache.hit").incr();
-    let _span = nde_trace::span("importance.knn_utility_topk");
-    utility_from_lists(|v| cache.neighbors(v), n, m, train_y, valid_y, k)
-}
-
 /// Closed-form leave-one-out values of the K-NN utility from a prebuilt
-/// [`NeighborCache`]: `LOO_i = v(D) − v(D∖{i})`. Removing `i` only matters
+/// [`TopKCache`]: `LOO_i = v(D) − v(D∖{i})`. Removing `i` only matters
 /// for validation points where `i` is among the K nearest — its vote slot
 /// is inherited by the (K+1)-th neighbor — so each point costs O(K)
-/// instead of the n·O(utility) evaluations of the generic estimator.
-pub fn knn_loo_cached(
-    cache: &NeighborCache,
-    train_y: &[usize],
-    valid_y: &[usize],
-    k: usize,
-) -> Vec<f64> {
-    let n = cache.n_train();
-    let m = cache.n_valid();
-    if n == 0 || m == 0 {
-        return vec![0.0; n];
-    }
-    let k = k.max(1);
-    nde_trace::counter("neighbor_cache.hit").incr();
-    let mut span = nde_trace::span("importance.knn_loo_cached");
-    span.field("n_train", n);
-    span.field("n_valid", m);
-    span.field("k", k);
-    loo_from_lists(|v| cache.neighbors(v), n, m, train_y, valid_y, k)
-}
-
-/// [`knn_loo_cached`] from a prebuilt [`TopKCache`]. The cache must hold
-/// at least `min(k, n) + 1` entries per list (the successor slot), which
-/// [`build_topk_cache`] with the same `k` guarantees. Bit-identical to the
-/// full-cache variant.
+/// instead of the n·O(utility) evaluations of the generic estimator. The
+/// cache must hold at least `min(k, n) + 1` entries per list (the
+/// successor slot), which [`build_topk_cache`] with the same `k`
+/// guarantees.
 pub fn knn_loo_topk(cache: &TopKCache, train_y: &[usize], valid_y: &[usize], k: usize) -> Vec<f64> {
     let n = cache.n_train();
     let m = cache.n_valid();
@@ -362,7 +226,29 @@ pub fn knn_loo_topk(cache: &TopKCache, train_y: &[usize], valid_y: &[usize], k: 
     span.field("n_train", n);
     span.field("n_valid", m);
     span.field("k", k);
-    loo_from_lists(|v| cache.neighbors(v), n, m, train_y, valid_y, k)
+    let mut total = par_reduce(
+        m,
+        VALID_CHUNK,
+        vec![0.0f64; n],
+        |chunk| {
+            let mut deltas = vec![0.0f64; n];
+            for v in chunk {
+                let yv = valid_y[v];
+                let list = cache.neighbors(v);
+                let matches = |e: &(f64, u32)| f64::from(u8::from(train_y[e.1 as usize] == yv));
+                // The successor that inherits the freed vote slot (none
+                // when the training set is no larger than K).
+                let succ = if n > kk { matches(&list[kk]) } else { 0.0 };
+                for entry in &list[..kk] {
+                    deltas[entry.1 as usize] += (matches(entry) - succ) / k as f64;
+                }
+            }
+            deltas
+        },
+        elementwise_add,
+    );
+    total.iter_mut().for_each(|s| *s /= m as f64);
+    total
 }
 
 /// The K-NN utility this Shapley value decomposes: the mean, over
@@ -570,7 +456,7 @@ mod tests {
     }
 
     #[test]
-    fn cached_shapley_and_utility_match_direct() {
+    fn cached_shapley_matches_direct() {
         let (train, valid) = bigger_pair();
         let cache = build_neighbor_cache(&train, &valid);
         for k in [1usize, 3, 5] {
@@ -579,18 +465,15 @@ mod tests {
             for (d, c) in direct.iter().zip(&cached) {
                 assert!((d - c).abs() < 1e-12, "k={k}: {direct:?} vs {cached:?}");
             }
-            let u_direct = knn_utility(&train, &valid, k);
-            let u_cached = knn_utility_cached(&cache, &train.y, &valid.y, k);
-            assert!((u_direct - u_cached).abs() < 1e-12, "k={k}");
         }
     }
 
     #[test]
     fn cached_loo_matches_generic_estimator() {
         let (train, valid) = bigger_pair();
-        let cache = build_neighbor_cache(&train, &valid);
-        for k in [1usize, 3] {
-            let fast = knn_loo_cached(&cache, &train.y, &valid.y, k);
+        for k in [1usize, 3, 20] {
+            let topk = build_topk_cache(&train, &valid, k);
+            let fast = knn_loo_topk(&topk, &train.y, &valid.y, k);
             let game = KnnGame {
                 train: &train,
                 valid: &valid,
@@ -607,6 +490,7 @@ mod tests {
     fn topk_cache_is_prefix_of_full_cache_and_scores_match() {
         let (train, valid) = bigger_pair();
         let full = build_neighbor_cache(&train, &valid);
+        let deepest = build_topk_cache(&train, &valid, train.len());
         for k in [1usize, 3, 5, 20] {
             let topk = build_topk_cache(&train, &valid, k);
             assert_eq!(topk.k(), (k + 1).min(train.len()));
@@ -614,12 +498,11 @@ mod tests {
                 let prefix = &full.neighbors(v)[..topk.neighbors(v).len()];
                 assert_eq!(topk.neighbors(v), prefix, "k={k}, v={v}");
             }
-            let u_full = knn_utility_cached(&full, &train.y, &valid.y, k);
-            let u_topk = knn_utility_topk(&topk, &train.y, &valid.y, k);
-            assert_eq!(u_full.to_bits(), u_topk.to_bits(), "utility k={k}");
-            let loo_full = knn_loo_cached(&full, &train.y, &valid.y, k);
+            // LOO reads only the k + 1 prefix, so a deeper cache scores
+            // bit-identically.
+            let loo_deep = knn_loo_topk(&deepest, &train.y, &valid.y, k);
             let loo_topk = knn_loo_topk(&topk, &train.y, &valid.y, k);
-            assert_eq!(loo_full, loo_topk, "loo k={k}");
+            assert_eq!(loo_deep, loo_topk, "loo k={k}");
         }
     }
 
@@ -628,7 +511,7 @@ mod tests {
     fn topk_cache_refuses_deeper_reads_than_it_holds() {
         let (train, valid) = bigger_pair();
         let topk = build_topk_cache(&train, &valid, 1);
-        let _ = knn_utility_topk(&topk, &train.y, &valid.y, 5);
+        let _ = knn_loo_topk(&topk, &train.y, &valid.y, 5);
     }
 
     #[test]

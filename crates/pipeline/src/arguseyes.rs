@@ -9,7 +9,7 @@ use nde_importance::knn_shapley::knn_shapley;
 use nde_learners::dataset::ClassDataset;
 use nde_learners::metrics::fairness::equalized_odds_difference;
 use nde_learners::traits::Learner;
-use nde_quality::Severity;
+use nde_quality::{Moments, Severity};
 use std::collections::HashSet;
 
 /// One screening finding.
@@ -216,13 +216,11 @@ fn check_covariate_shift(
 }
 
 fn column_stats(data: &ClassDataset, j: usize) -> (f64, f64) {
-    let n = data.len() as f64;
-    let mean = (0..data.len()).map(|i| data.x.get(i, j)).sum::<f64>() / n;
-    let var = (0..data.len())
-        .map(|i| (data.x.get(i, j) - mean).powi(2))
-        .sum::<f64>()
-        / n;
-    (mean, var.sqrt())
+    let mut moments = Moments::new();
+    for i in 0..data.len() {
+        moments.push(Some(data.x.get(i, j)));
+    }
+    (moments.mean, moments.std().unwrap_or(0.0))
 }
 
 fn check_class_imbalance(

@@ -7,6 +7,7 @@
 use crate::exec::Sources;
 use crate::plan::{Node, Plan};
 use crate::Result;
+use nde_quality::Moments;
 use nde_tabular::Table;
 use std::collections::HashMap;
 
@@ -44,11 +45,11 @@ impl InspectionReport {
 }
 
 fn numeric_summary(table: &Table, column: &str) -> Option<(f64, f64)> {
-    let profile = table.describe_column(column).ok()?;
-    match (profile.mean, profile.std) {
-        (Some(m), Some(s)) => Some((m, s)),
-        _ => None,
+    let mut moments = Moments::new();
+    for cell in table.column(column).ok()?.to_f64().ok()? {
+        moments.push(cell);
     }
+    Some((moments.mean_opt()?, moments.std()?))
 }
 
 fn shares(table: &Table, column: &str) -> Option<HashMap<String, f64>> {

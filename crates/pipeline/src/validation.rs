@@ -4,9 +4,26 @@
 //! *expectations* from a reference (training) table, then validate any
 //! other batch — new training data, a serving slice — against them,
 //! reporting anomalies and train/serving drift.
+//!
+//! Every statistic is read from one [`Table::quality_profile`] per table,
+//! the same `nde-quality` sketches that drift monitoring scores:
+//! - null rates, ranges, means and standard deviations come from the
+//!   exact [`nde_quality::Moments`];
+//! - a string column's categorical domain is the heavy-hitter key set,
+//!   kept only while the sketch never evicted (at most 64 distinct
+//!   values);
+//! - the distribution-shape check is the sketch two-sample KS statistic
+//!   of [`column_drift`]. It equals the exact KS statistic while both
+//!   columns hold fewer than 200 values (the quantile sketch's buffer),
+//!   and stays within 0.02 of it up to 100 000 rows per side (pinned by
+//!   the `sketch_ks_tracks_exact_ks` test in `nde-quality`).
+//!
+//! Profiling shards rows across `NDE_THREADS` workers with fixed chunk
+//! boundaries, so every finding is identical for any thread count.
 
-use nde_tabular::profile::ColumnProfile;
+use nde_quality::{column_drift, ColumnSketch};
 use nde_tabular::{DataType, Table};
+use std::collections::BTreeSet;
 
 /// Per-column expectations inferred from a reference table.
 #[derive(Debug, Clone)]
@@ -19,13 +36,12 @@ pub struct ColumnExpectation {
     pub max_null_fraction: f64,
     /// Tolerated numeric range (slack-widened), when numeric.
     pub range: Option<(f64, f64)>,
-    /// Allowed categorical domain, when low-cardinality string.
+    /// Allowed categorical domain (sorted), when a string column has at
+    /// most 64 distinct values.
     pub domain: Option<Vec<String>>,
-    /// Reference mean/std for drift checks, when numeric.
-    pub reference_stats: Option<(f64, f64)>,
-    /// A (possibly downsampled) reference sample for distribution-shape
-    /// checks (two-sample Kolmogorov–Smirnov), when numeric.
-    pub reference_sample: Option<Vec<f64>>,
+    /// The reference column's sketch: the baseline for the mean-drift
+    /// and distribution-shape checks.
+    pub reference: ColumnSketch,
 }
 
 /// The inferred expectation set.
@@ -124,32 +140,6 @@ pub enum Anomaly {
     },
 }
 
-/// Two-sample Kolmogorov–Smirnov distance `sup |F₁ − F₂|` over the pooled
-/// support. Returns 0 when either sample is empty.
-pub fn ks_distance(a: &[f64], b: &[f64]) -> f64 {
-    if a.is_empty() || b.is_empty() {
-        return 0.0;
-    }
-    let mut sa = a.to_vec();
-    let mut sb = b.to_vec();
-    sa.sort_by(f64::total_cmp);
-    sb.sort_by(f64::total_cmp);
-    let (mut i, mut j) = (0usize, 0usize);
-    let (na, nb) = (sa.len() as f64, sb.len() as f64);
-    let mut best = 0.0f64;
-    while i < sa.len() && j < sb.len() {
-        let x = sa[i].min(sb[j]);
-        while i < sa.len() && sa[i] <= x {
-            i += 1;
-        }
-        while j < sb.len() && sb[j] <= x {
-            j += 1;
-        }
-        best = best.max((i as f64 / na - j as f64 / nb).abs());
-    }
-    best
-}
-
 /// Infers expectations from a reference table.
 ///
 /// ```
@@ -171,47 +161,26 @@ pub fn ks_distance(a: &[f64], b: &[f64]) -> f64 {
 ///     .any(|a| matches!(a, Anomaly::OutOfRange { count: 1, .. })));
 /// ```
 pub fn infer_expectations(reference: &Table, cfg: &ValidationConfig) -> Expectations {
+    let profile = reference.quality_profile();
     let columns = reference
-        .describe()
-        .into_iter()
-        .map(|p: ColumnProfile| {
-            let range = match (p.min, p.max) {
-                (Some(lo), Some(hi)) => {
-                    let slack = (hi - lo).abs().max(1e-9) * cfg.range_slack;
-                    Some((lo - slack, hi + slack))
-                }
-                _ => None,
-            };
-            let reference_stats = match (p.mean, p.std) {
-                (Some(m), Some(s)) => Some((m, s)),
-                _ => None,
-            };
-            let reference_sample = if reference_stats.is_some() {
-                reference
-                    .column(&p.name)
-                    .ok()
-                    .and_then(|c| c.to_f64().ok())
-                    .map(|vals| {
-                        let present: Vec<f64> = vals.into_iter().flatten().collect();
-                        // Deterministic downsample to bound memory.
-                        if present.len() > 1000 {
-                            let step = present.len() / 1000 + 1;
-                            present.into_iter().step_by(step).collect()
-                        } else {
-                            present
-                        }
-                    })
-            } else {
-                None
-            };
+        .schema()
+        .fields()
+        .iter()
+        .zip(profile.columns)
+        .map(|(field, sketch)| {
+            let range = sketch.moments.min.zip(sketch.moments.max).map(|(lo, hi)| {
+                let slack = (hi - lo).abs().max(1e-9) * cfg.range_slack;
+                (lo - slack, hi + slack)
+            });
+            let domain = (field.dtype == DataType::Str && !sketch.heavy.saturated())
+                .then(|| sketch.heavy.shares().into_keys().collect());
             ColumnExpectation {
-                max_null_fraction: (p.null_fraction() + cfg.null_slack).min(1.0),
-                domain: p.categories.clone(),
-                name: p.name,
-                dtype: p.dtype,
+                name: field.name.clone(),
+                dtype: field.dtype,
+                max_null_fraction: (sketch.null_rate() + cfg.null_slack).min(1.0),
                 range,
-                reference_stats,
-                reference_sample,
+                domain,
+                reference: sketch,
             }
         })
         .collect();
@@ -225,6 +194,7 @@ pub fn validate(
     expectations: &Expectations,
     cfg: &ValidationConfig,
 ) -> Vec<Anomaly> {
+    let profile = table.quality_profile();
     let mut anomalies = Vec::new();
     for exp in &expectations.columns {
         let Ok(col) = table.column(&exp.name) else {
@@ -241,16 +211,21 @@ pub fn validate(
             });
             continue;
         }
-        let profile = table.describe_column(&exp.name).expect("column exists");
-        if profile.null_fraction() > exp.max_null_fraction + 1e-12 {
+        let current = profile.column(&exp.name).expect("column exists");
+        if current.null_rate() > exp.max_null_fraction + 1e-12 {
             anomalies.push(Anomaly::NullRate {
                 name: exp.name.clone(),
-                observed: profile.null_fraction(),
+                observed: current.null_rate(),
                 allowed: exp.max_null_fraction,
             });
         }
         if let (Some((lo, hi)), Ok(vals)) = (exp.range, col.to_f64()) {
-            let out = vals.iter().flatten().filter(|&&v| v < lo || v > hi).count();
+            // `contains` is false for NaN, so NaN cells count as out of range.
+            let out = vals
+                .iter()
+                .flatten()
+                .filter(|v| !(lo..=hi).contains(*v))
+                .count();
             if out > 0 {
                 anomalies.push(Anomaly::OutOfRange {
                     name: exp.name.clone(),
@@ -260,23 +235,24 @@ pub fn validate(
             }
         }
         if let (Some(domain), Some(cells)) = (&exp.domain, col.as_str()) {
-            let mut unseen: Vec<String> = cells
+            let unseen: BTreeSet<&String> = cells
                 .iter()
                 .flatten()
                 .filter(|v| !domain.contains(v))
-                .cloned()
                 .collect();
-            unseen.sort();
-            unseen.dedup();
-            unseen.truncate(10);
             if !unseen.is_empty() {
                 anomalies.push(Anomaly::UnseenCategory {
                     name: exp.name.clone(),
-                    values: unseen,
+                    values: unseen.into_iter().take(10).cloned().collect(),
                 });
             }
         }
-        if let (Some((ref_mean, ref_std)), Some(mean)) = (exp.reference_stats, profile.mean) {
+        let reference = &exp.reference.moments;
+        if let (Some(ref_mean), Some(ref_std), Some(mean)) = (
+            reference.mean_opt(),
+            reference.std(),
+            current.moments.mean_opt(),
+        ) {
             let magnitude = (mean - ref_mean).abs() / ref_std.max(1e-9);
             if magnitude > cfg.drift_threshold {
                 anomalies.push(Anomaly::Drift {
@@ -285,14 +261,14 @@ pub fn validate(
                 });
             }
         }
-        if let (Some(reference_sample), Ok(vals)) = (&exp.reference_sample, col.to_f64()) {
-            let present: Vec<f64> = vals.into_iter().flatten().collect();
-            let ks = ks_distance(reference_sample, &present);
-            if ks > cfg.ks_threshold {
-                anomalies.push(Anomaly::DistributionShift {
-                    name: exp.name.clone(),
-                    ks,
-                });
+        if reference.present() > 0 {
+            if let Some(ks) = column_drift(&exp.reference, current).ks {
+                if ks > cfg.ks_threshold {
+                    anomalies.push(Anomaly::DistributionShift {
+                        name: exp.name.clone(),
+                        ks,
+                    });
+                }
             }
         }
     }
@@ -405,19 +381,6 @@ mod tests {
     }
 
     #[test]
-    fn ks_distance_properties() {
-        let a = [1.0, 2.0, 3.0, 4.0, 5.0];
-        assert_eq!(ks_distance(&a, &a), 0.0);
-        // Disjoint supports → distance 1.
-        let b = [10.0, 11.0, 12.0];
-        assert_eq!(ks_distance(&a, &b), 1.0);
-        // Symmetry.
-        let c = [1.5, 2.5, 3.5];
-        assert!((ks_distance(&a, &c) - ks_distance(&c, &a)).abs() < 1e-12);
-        assert_eq!(ks_distance(&[], &a), 0.0);
-    }
-
-    #[test]
     fn variance_change_triggers_ks_but_not_mean_drift() {
         // Same mean (3.0), wildly different spread: KS fires, mean-drift
         // does not — the case the shape check exists for.
@@ -475,5 +438,58 @@ mod tests {
             .build()
             .unwrap();
         assert!(validate(&batch, &exp, &cfg).is_empty());
+    }
+
+    /// Infers default expectations from a one-column `reference` and
+    /// validates `batch` against them.
+    fn check(reference: Table, batch: Table) -> (ColumnExpectation, Vec<Anomaly>) {
+        let cfg = ValidationConfig::default();
+        let exp = infer_expectations(&reference, &cfg);
+        let anomalies = validate(&batch, &exp, &cfg);
+        (exp.columns[0].clone(), anomalies)
+    }
+
+    fn floats<T: Into<Option<f64>>>(values: Vec<T>) -> Table {
+        Table::builder().float("x", values).build().unwrap()
+    }
+
+    fn strs(values: Vec<String>) -> Table {
+        Table::builder().str("x", values).build().unwrap()
+    }
+
+    #[test]
+    fn nan_cells_are_out_of_range() {
+        let mut values: Vec<f64> = (1..=100).map(|i| f64::from(i) / 10.0).collect();
+        let reference = floats(values.clone());
+        values[10] = f64::NAN;
+        values[70] = f64::NAN;
+        let (_, anomalies) = check(reference, floats(values));
+        assert!(
+            matches!(anomalies[..], [Anomaly::OutOfRange { count: 2, .. }]),
+            "{anomalies:?}"
+        );
+    }
+
+    #[test]
+    fn domain_holds_at_most_64_sorted_categories() {
+        let labels = |n: usize| (0..n).map(|i| format!("v{i:02}")).collect::<Vec<_>>();
+        let (exp, _) = check(strs(labels(64).into_iter().rev().collect()), strs(vec![]));
+        assert_eq!(exp.domain, Some(labels(64)));
+        // Past 64 there is no domain, so no value is an unseen category.
+        let (exp, anomalies) = check(strs(labels(65)), strs(vec!["new".into()]));
+        assert_eq!((exp.domain, anomalies), (None, vec![]));
+        // Each 2048-row profile shard holds 40 categories and never evicts;
+        // only the shard merge pushes the union past 64.
+        let chunk = nde_tabular::profile::QUALITY_PROFILE_CHUNK_LEN;
+        let sharded = (0..2 * chunk).map(|i| format!("s{}-{}", i / chunk, i % 40));
+        assert_eq!(check(strs(sharded.collect()), strs(vec![])).0.domain, None);
+    }
+
+    #[test]
+    fn all_null_numeric_reference_only_checks_null_rate() {
+        let batch = floats(vec![Some(-1e9), None, Some(1e9)]);
+        let (exp, anomalies) = check(floats(vec![None, None]), batch);
+        assert_eq!((exp.range, exp.max_null_fraction), (None, 1.0));
+        assert!(anomalies.is_empty(), "{anomalies:?}");
     }
 }

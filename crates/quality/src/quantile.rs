@@ -311,6 +311,50 @@ mod tests {
         assert!((a.ks_statistic(&c) - c.ks_statistic(&a)).abs() < 1e-12);
     }
 
+    /// Pins the KS error that consumers of sketch drift scores (data
+    /// validation, `quality_report`) inherit: default sketches built the
+    /// way `Table::quality_profile` builds them — 2048-value shards merged
+    /// in order — against exact-mode sketches that never compact.
+    #[test]
+    fn sketch_ks_tracks_exact_ks() {
+        let sharded = |values: &[f64]| {
+            let mut merged = QuantileSketch::new();
+            for chunk in values.chunks(2048) {
+                let mut shard = QuantileSketch::new();
+                chunk.iter().for_each(|&v| shard.push(v));
+                merged.merge(&shard);
+            }
+            merged
+        };
+        // Exact mode ignores push order; sorting first keeps its own sort
+        // linear, and a shift keeps sorted input sorted.
+        let exact = |sorted: &[f64], shift: f64| {
+            let mut sketch = QuantileSketch::with_capacity(sorted.len() + 1);
+            sorted.iter().for_each(|&v| sketch.push(v + shift));
+            sketch
+        };
+        for n in [150, 300, 1_000, 5_000, 20_000, 100_000] {
+            for seed in 0..20u64 {
+                let (mut reference, fresh) = (stream(n, 2 * seed), stream(n, 2 * seed + 1));
+                let ref_sketch = sharded(&reference);
+                reference.sort_by(f64::total_cmp);
+                let ref_exact = exact(&reference, 0.0);
+                let mut fresh_sorted = fresh.clone();
+                fresh_sorted.sort_by(f64::total_cmp);
+                for shift in [0.0, 0.02, 0.1, 0.3] {
+                    let current: Vec<f64> = fresh.iter().map(|v| v + shift).collect();
+                    let approx = ref_sketch.ks_statistic(&sharded(&current));
+                    let truth = ref_exact.ks_statistic(&exact(&fresh_sorted, shift));
+                    if n < DEFAULT_QUANTILE_K {
+                        assert_eq!(approx, truth, "n={n}, seed={seed}, shift={shift}");
+                    }
+                    let gap = (approx - truth).abs();
+                    assert!(gap <= 0.02, "n={n}, seed={seed}, shift={shift}: gap {gap}");
+                }
+            }
+        }
+    }
+
     #[test]
     fn state_round_trips() {
         let mut sketch = QuantileSketch::with_capacity(32);

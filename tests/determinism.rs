@@ -14,6 +14,7 @@ use nde_importance::semivalue::{banzhaf_msr, tmc_shapley, McConfig};
 use nde_importance::utility::{ModelUtility, UtilityMetric};
 use nde_learners::dataset::ClassDataset;
 use nde_learners::{KnnClassifier, Learner};
+use nde_pipeline::validation::{infer_expectations, validate, ValidationConfig};
 use nde_uncertain::cpclean::{certain_fraction, IncompleteDataset};
 use nde_uncertain::incomplete::IncompleteMatrix;
 use nde_uncertain::interval::Interval;
@@ -121,8 +122,9 @@ fn quality_profile_is_thread_count_invariant() {
 }
 
 /// The env-driven entry points ([`certain_fraction`], the challenge
-/// leaderboard) take their worker count from `NDE_THREADS`. Exercised in a
-/// single test because environment mutation is process-global.
+/// leaderboard, data validation) take their worker count from
+/// `NDE_THREADS`. Exercised in a single test because environment
+/// mutation is process-global.
 #[test]
 fn env_driven_entry_points_are_thread_count_invariant() {
     // CPClean certain fraction over MNAR-corrupted ratings.
@@ -165,6 +167,17 @@ fn env_driven_entry_points_are_thread_count_invariant() {
     let (train, valid) = encoded_splits();
     let indexed = KnnClassifier::indexed(5).fit(&train).unwrap();
 
+    // Data validation profiles both tables across 2048-row shards.
+    let big = HiringScenario::generate(&HiringConfig {
+        n_train: 2500,
+        n_valid: 0,
+        n_test: 0,
+        ..Default::default()
+    });
+    let (batch, _) =
+        inject_missing(&big.train, "employer_rating", 0.3, Mechanism::Mnar, 9).unwrap();
+    let cfg = ValidationConfig::default();
+
     let run = || {
         let fraction = certain_fraction(&data, &queries, 3);
         let board = challenge.play_all(&strategies).unwrap();
@@ -178,11 +191,18 @@ fn env_driven_entry_points_are_thread_count_invariant() {
         let topk_flat: Vec<(u64, u32)> = (0..topk.n_valid())
             .flat_map(|v| topk.neighbors(v).iter().map(|&(d, t)| (d.to_bits(), t)))
             .collect();
-        (fraction.to_bits(), standings, preds, topk_flat)
+        let expectations = infer_expectations(&big.train, &cfg);
+        let anomalies = validate(&batch, &expectations, &cfg);
+        let validation = format!("{expectations:?} {anomalies:?}");
+        (fraction.to_bits(), standings, preds, topk_flat, validation)
     };
 
     std::env::set_var("NDE_THREADS", "1");
     let reference = run();
+    assert!(
+        reference.4.contains("NullRate"),
+        "validation missed the injected nulls"
+    );
     let brute = KnnClassifier::new(5).fit(&train).unwrap();
     assert_eq!(
         reference.2,
