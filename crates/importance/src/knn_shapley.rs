@@ -10,7 +10,7 @@
 //! exponential sum.
 
 use nde_learners::dataset::ClassDataset;
-use nde_learners::matrix::sq_dist;
+use nde_learners::matrix::{sort_by_distance, sq_dist};
 use nde_learners::models::kdtree::KdTree;
 use nde_parallel::{par_reduce, par_reduce_with, NeighborCache, TopKCache};
 
@@ -20,19 +20,28 @@ use nde_parallel::{par_reduce, par_reduce_with, NeighborCache, TopKCache};
 const VALID_CHUNK: usize = 8;
 
 /// Backward recursion of Jia et al. (Theorem 1) for one validation point,
-/// given training indices sorted ascending by (distance, index). Adds the
-/// per-point (unaveraged) Shapley contributions into `scores`.
-fn accumulate_one(scores: &mut [f64], order: &[u32], train_y: &[usize], yv: usize, k: usize) {
+/// given `(distance, training index)` pairs sorted ascending by (distance,
+/// index). Adds the per-point (unaveraged) Shapley contributions into
+/// `scores`.
+fn accumulate_one(
+    scores: &mut [f64],
+    order: &[(f64, u32)],
+    train_y: &[usize],
+    yv: usize,
+    k: usize,
+) {
     let n = order.len();
     let matches = |i: u32| f64::from(u8::from(train_y[i as usize] == yv));
     // The base case uses min(K, N): when the training set is smaller
     // than K, the farthest point still occupies a guaranteed vote slot.
-    let mut s_next = matches(order[n - 1]) * k.min(n) as f64 / (k as f64 * n as f64);
-    scores[order[n - 1] as usize] += s_next;
+    let last = order[n - 1].1;
+    let mut s_next = matches(last) * k.min(n) as f64 / (k as f64 * n as f64);
+    scores[last as usize] += s_next;
     for j in (1..n).rev() {
         // position j (1-indexed) is order[j-1]; its successor is order[j].
-        let i = order[j - 1];
-        let s = s_next + (matches(i) - matches(order[j])) / k as f64 * (k.min(j) as f64 / j as f64);
+        let i = order[j - 1].1;
+        let s =
+            s_next + (matches(i) - matches(order[j].1)) / k as f64 * (k.min(j) as f64 / j as f64);
         scores[i as usize] += s;
         s_next = s;
     }
@@ -103,15 +112,10 @@ pub fn knn_shapley_parallel(
         vec![0.0f64; n],
         |chunk| {
             let mut scores = vec![0.0f64; n];
-            let mut order: Vec<u32> = (0..n as u32).collect();
+            let mut keys = Vec::with_capacity(n);
             for v in chunk {
-                let (xv, yv) = (valid.x.row(v), valid.y[v]);
-                order.sort_by(|&a, &b| {
-                    sq_dist(train.x.row(a as usize), xv)
-                        .total_cmp(&sq_dist(train.x.row(b as usize), xv))
-                        .then(a.cmp(&b))
-                });
-                accumulate_one(&mut scores, &order, &train.y, yv, k);
+                sort_by_distance(&train.x, valid.x.row(v), &mut keys);
+                accumulate_one(&mut scores, &keys, &train.y, valid.y[v], k);
             }
             scores
         },
@@ -164,11 +168,8 @@ pub fn knn_shapley_cached(
         vec![0.0f64; n],
         |chunk| {
             let mut scores = vec![0.0f64; n];
-            let mut order: Vec<u32> = Vec::with_capacity(n);
             for v in chunk {
-                order.clear();
-                order.extend(cache.neighbors(v).iter().map(|&(_, t)| t));
-                accumulate_one(&mut scores, &order, train_y, valid_y[v], k);
+                accumulate_one(&mut scores, cache.neighbors(v), train_y, valid_y[v], k);
             }
             scores
         },
@@ -261,16 +262,14 @@ pub fn knn_utility(train: &ClassDataset, valid: &ClassDataset, k: usize) -> f64 
     }
     let k = k.max(1);
     let mut total = 0.0;
-    let mut order: Vec<usize> = (0..n).collect();
+    let mut keys = Vec::with_capacity(n);
     for v in 0..valid.len() {
-        let (xv, yv) = (valid.x.row(v), valid.y[v]);
-        order.sort_by(|&a, &b| {
-            sq_dist(train.x.row(a), xv)
-                .total_cmp(&sq_dist(train.x.row(b), xv))
-                .then(a.cmp(&b))
-        });
-        let kk = k.min(n);
-        let correct = order[..kk].iter().filter(|&&i| train.y[i] == yv).count();
+        sort_by_distance(&train.x, valid.x.row(v), &mut keys);
+        let yv = valid.y[v];
+        let correct = keys[..k.min(n)]
+            .iter()
+            .filter(|&&(_, t)| train.y[t as usize] == yv)
+            .count();
         total += correct as f64 / k as f64;
     }
     total / valid.len() as f64
@@ -282,6 +281,7 @@ mod tests {
     use crate::semivalue::exact_shapley;
     use crate::utility::Utility;
     use nde_learners::matrix::Matrix;
+    use proptest::prelude::*;
 
     fn dataset(points: &[(f64, usize)]) -> ClassDataset {
         let rows: Vec<Vec<f64>> = points.iter().map(|&(x, _)| vec![x]).collect();
@@ -512,6 +512,131 @@ mod tests {
         let (train, valid) = bigger_pair();
         let topk = build_topk_cache(&train, &valid, 1);
         let _ = knn_loo_topk(&topk, &train.y, &valid.y, 5);
+    }
+
+    /// Reference neighbor order: a stable sort whose comparator recomputes
+    /// both distances on every comparison, the plainest statement of the
+    /// (distance, index) order [`sort_by_distance`] must reproduce.
+    fn comparator_order(rows: &Matrix, query: &[f64]) -> Vec<usize> {
+        let mut order: Vec<usize> = (0..rows.nrows()).collect();
+        order.sort_by(|&a, &b| {
+            sq_dist(rows.row(a), query)
+                .total_cmp(&sq_dist(rows.row(b), query))
+                .then(a.cmp(&b))
+        });
+        order
+    }
+
+    /// [`knn_shapley`] over [`comparator_order`], with the same chunked
+    /// summation so the comparison can be bit for bit.
+    fn oracle_shapley(train: &ClassDataset, valid: &ClassDataset, k: usize) -> Vec<f64> {
+        let n = train.len();
+        let mut total = vec![0.0f64; n];
+        for chunk in (0..valid.len()).collect::<Vec<_>>().chunks(VALID_CHUNK) {
+            let mut scores = vec![0.0f64; n];
+            for &v in chunk {
+                // `accumulate_one` reads only the indices.
+                let order: Vec<(f64, u32)> = comparator_order(&train.x, valid.x.row(v))
+                    .into_iter()
+                    .map(|t| (0.0, t as u32))
+                    .collect();
+                accumulate_one(&mut scores, &order, &train.y, valid.y[v], k);
+            }
+            total = elementwise_add(total, scores);
+        }
+        total.iter_mut().for_each(|s| *s /= valid.len() as f64);
+        total
+    }
+
+    fn oracle_utility(train: &ClassDataset, valid: &ClassDataset, k: usize) -> f64 {
+        let mut total = 0.0;
+        for v in 0..valid.len() {
+            let order = comparator_order(&train.x, valid.x.row(v));
+            let top = &order[..k.min(train.len())];
+            let correct = top.iter().filter(|&&t| train.y[t] == valid.y[v]).count();
+            total += correct as f64 / k as f64;
+        }
+        total / valid.len() as f64
+    }
+
+    fn oracle_answer(corpus: &crate::rag::RagCorpus, query: &[f64], k: usize) -> usize {
+        let mut votes = vec![0usize; corpus.n_answers];
+        for t in comparator_order(&corpus.embeddings, query)
+            .into_iter()
+            .take(k)
+        {
+            votes[corpus.labels[t]] += 1;
+        }
+        votes
+            .iter()
+            .enumerate()
+            .max_by(|a, b| a.1.cmp(b.1).then(b.0.cmp(&a.0)))
+            .map_or(0, |(l, _)| l)
+    }
+
+    /// Rows on a small integer grid, truncated to `dims` columns, with
+    /// flagged rows duplicating their predecessor: exact distance ties and
+    /// duplicate rows are the common case, not the exception.
+    fn grid_dataset(cells: &[Vec<i8>], dims: usize, dup: &[bool], y: &[usize]) -> ClassDataset {
+        let mut rows: Vec<Vec<f64>> = cells
+            .iter()
+            .map(|r| r[..dims].iter().map(|&c| f64::from(c)).collect())
+            .collect();
+        for i in 1..rows.len() {
+            if dup[i] {
+                rows[i] = rows[i - 1].clone();
+            }
+        }
+        let y = y[..rows.len()].to_vec();
+        ClassDataset::new(Matrix::from_rows(&rows).unwrap(), y, 3).unwrap()
+    }
+
+    proptest! {
+        // Training sets reach past 20 rows: below that the standard
+        // library's unstable sort is an insertion sort, which is stable and
+        // would hide a missing index tie-break.
+        #[test]
+        fn kernels_equal_the_comparator_sort_oracle_bit_for_bit(
+            train_cells in prop::collection::vec(
+                prop::collection::vec(-2i8..3, 3), 2..60),
+            valid_cells in prop::collection::vec(
+                prop::collection::vec(-2i8..3, 3), 1..20),
+            dims in 1usize..4,
+            dup in prop::collection::vec(any::<bool>(), 60),
+            labels in prop::collection::vec(0usize..3, 60),
+        ) {
+            let full = grid_dataset(&train_cells, dims, &dup, &labels);
+            let valid = grid_dataset(&valid_cells, dims, &dup, &labels);
+            // n = 1 and the full set; k spans n < k.
+            for n in [1, full.len()] {
+                let train = full.subset(&(0..n).collect::<Vec<_>>());
+                for k in [1, 3, n + 2] {
+                    let bits = |v: &[f64]| v.iter().map(|f| f.to_bits()).collect::<Vec<_>>();
+                    prop_assert_eq!(
+                        bits(&knn_shapley(&train, &valid, k)),
+                        bits(&oracle_shapley(&train, &valid, k)),
+                        "shapley n={} k={}", n, k
+                    );
+                    prop_assert_eq!(
+                        knn_utility(&train, &valid, k).to_bits(),
+                        oracle_utility(&train, &valid, k).to_bits(),
+                        "utility n={} k={}", n, k
+                    );
+                    let corpus = crate::rag::RagCorpus {
+                        embeddings: train.x.clone(),
+                        labels: train.y.clone(),
+                        n_answers: 3,
+                    };
+                    for v in 0..valid.len() {
+                        prop_assert_eq!(
+                            corpus.answer(valid.x.row(v), k),
+                            oracle_answer(&corpus, valid.x.row(v), k),
+                            "answer n={} k={} v={}", n, k, v
+                        );
+                    }
+                }
+            }
+        }
     }
 
     #[test]

@@ -12,7 +12,7 @@
 
 use crate::knn_shapley::{knn_shapley, knn_utility};
 use nde_learners::dataset::ClassDataset;
-use nde_learners::matrix::{sq_dist, Matrix};
+use nde_learners::matrix::{sort_by_distance, Matrix};
 use nde_learners::preprocessing::text::SentenceEmbedder;
 use nde_learners::{LearnError, Result};
 
@@ -60,15 +60,11 @@ impl RagCorpus {
 
     /// Answers a query by majority vote over the `k` nearest documents.
     pub fn answer(&self, query: &[f64], k: usize) -> usize {
-        let mut order: Vec<usize> = (0..self.len()).collect();
-        order.sort_by(|&a, &b| {
-            sq_dist(self.embeddings.row(a), query)
-                .total_cmp(&sq_dist(self.embeddings.row(b), query))
-                .then(a.cmp(&b))
-        });
+        let mut order = Vec::with_capacity(self.len());
+        sort_by_distance(&self.embeddings, query, &mut order);
         let mut votes = vec![0usize; self.n_answers];
-        for &i in order.iter().take(k.max(1)) {
-            votes[self.labels[i]] += 1;
+        for &(_, i) in order.iter().take(k.max(1)) {
+            votes[self.labels[i as usize]] += 1;
         }
         votes
             .iter()

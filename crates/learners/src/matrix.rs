@@ -261,6 +261,18 @@ pub fn sq_dist(a: &[f64], b: &[f64]) -> f64 {
     a.iter().zip(b).map(|(x, y)| (x - y) * (x - y)).sum()
 }
 
+/// Fills `keys` with `(sq_dist(rows.row(i), query), i)` for every row and
+/// sorts it ascending by distance (`f64::total_cmp`), ties broken by row
+/// index. Each distance is computed once, and because the index makes every
+/// key unique the order equals that of a stable sort by the same
+/// comparator, NaN placement included. `keys` is a caller-owned buffer so
+/// loops over many queries reuse one allocation.
+pub fn sort_by_distance(rows: &Matrix, query: &[f64], keys: &mut Vec<(f64, u32)>) {
+    keys.clear();
+    keys.extend((0..rows.nrows()).map(|i| (sq_dist(rows.row(i), query), i as u32)));
+    keys.sort_unstable_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -347,5 +359,17 @@ mod tests {
     fn helpers() {
         assert_eq!(dot(&[1.0, 2.0], &[3.0, 4.0]), 11.0);
         assert_eq!(sq_dist(&[0.0, 0.0], &[3.0, 4.0]), 25.0);
+    }
+
+    #[test]
+    fn sort_by_distance_breaks_ties_by_index() {
+        let m = Matrix::from_rows(&[vec![2.0], vec![-1.0], vec![1.0], vec![f64::NAN], vec![0.0]])
+            .unwrap();
+        let mut keys = vec![(9.0, 9)];
+        sort_by_distance(&m, &[0.0], &mut keys);
+        let order: Vec<u32> = keys.iter().map(|&(_, i)| i).collect();
+        // 0 < 1 = 1 < 4 < NaN (total_cmp puts positive NaN last).
+        assert_eq!(order, vec![4, 1, 2, 0, 3]);
+        assert_eq!(keys[0].0, 0.0);
     }
 }

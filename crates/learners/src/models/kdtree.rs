@@ -266,16 +266,13 @@ fn search(data: &Matrix, node: &Node, query: &[f64], best: &mut BestK) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::matrix::sort_by_distance;
 
     fn brute_force(data: &Matrix, query: &[f64], k: usize) -> Vec<usize> {
-        let mut order: Vec<usize> = (0..data.nrows()).collect();
-        order.sort_by(|&a, &b| {
-            sq_dist(data.row(a), query)
-                .total_cmp(&sq_dist(data.row(b), query))
-                .then(a.cmp(&b))
-        });
-        order.truncate(k.min(data.nrows()));
-        order
+        let mut keys = Vec::new();
+        sort_by_distance(data, query, &mut keys);
+        keys.truncate(k.min(data.nrows()));
+        keys.into_iter().map(|(_, i)| i as usize).collect()
     }
 
     fn grid_data(n: usize, d: usize) -> Matrix {

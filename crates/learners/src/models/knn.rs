@@ -193,7 +193,7 @@ pub fn argmax(values: &[f64]) -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::matrix::Matrix;
+    use crate::matrix::{sort_by_distance, Matrix};
 
     fn blob_dataset() -> ClassDataset {
         // Two well-separated 1-D blobs.
@@ -292,13 +292,13 @@ mod tests {
                 }
             }
             let query: Vec<f64> = (0..dims).map(|_| rng.random_range(0.0..4.0)).collect();
+            let matrix = Matrix::from_rows(&rows).unwrap();
             for k in [1usize, 3, n, n + 5] {
                 let fast = top_k_neighbors(n, k, |i| sq_dist(&rows[i], &query));
-                let mut reference: Vec<(f64, usize)> =
-                    (0..n).map(|i| (sq_dist(&rows[i], &query), i)).collect();
-                reference.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
+                let mut reference = Vec::new();
+                sort_by_distance(&matrix, &query, &mut reference);
                 reference.truncate(k.min(n));
-                let slow: Vec<usize> = reference.into_iter().map(|(_, i)| i).collect();
+                let slow: Vec<usize> = reference.into_iter().map(|(_, i)| i as usize).collect();
                 assert_eq!(fast, slow, "trial={trial} n={n} k={k}");
             }
         }

@@ -3,6 +3,8 @@
 //! per-column encoding specs, preserving row order one-to-one (crucial for
 //! provenance: output row `i` of the encoder comes from input row `i`).
 
+use std::collections::HashMap;
+
 use nde_tabular::Table;
 
 use crate::dataset::ClassDataset;
@@ -165,7 +167,7 @@ impl TableEncoder {
                 }
             }
         }
-        let labels = label_strings(table, &self.label)?;
+        let labels = string_cells(table, &self.label, "label")?;
         let mut classes: Vec<String> = labels.iter().flatten().cloned().collect();
         classes.sort();
         classes.dedup();
@@ -190,15 +192,15 @@ impl TableEncoder {
     }
 }
 
-fn label_strings(table: &Table, label: &str) -> Result<Vec<Option<String>>> {
-    let col = table.column(label).map_err(|e| LearnError::Encoding {
+/// The cells of string column `name`; `kind` names the spec in the error
+/// for a non-string column.
+fn string_cells<'t>(table: &'t Table, name: &str, kind: &str) -> Result<&'t [Option<String>]> {
+    let col = table.column(name).map_err(|e| LearnError::Encoding {
         detail: e.to_string(),
     })?;
-    col.as_str()
-        .map(|cells| cells.to_vec())
-        .ok_or_else(|| LearnError::Encoding {
-            detail: format!("label column {label:?} must be a string column"),
-        })
+    col.as_str().ok_or_else(|| LearnError::Encoding {
+        detail: format!("{kind} column {name:?} must be a string column"),
+    })
 }
 
 impl FittedTableEncoder {
@@ -220,45 +222,48 @@ impl FittedTableEncoder {
     }
 
     /// Encodes only the features of `table` (row `i` of the output comes
-    /// from row `i` of the input).
+    /// from row `i` of the input). Every column writes straight into its
+    /// slice of the output rows; a text column keeps one token-vector memo
+    /// for the whole call, which leaves each embedding bit-identical to
+    /// [`SentenceEmbedder::embed`] of the same cell.
     pub fn transform_features(&self, table: &Table) -> Result<Matrix> {
-        let n = table.num_rows();
-        let mut rows: Vec<Vec<f64>> = vec![Vec::with_capacity(self.width); n];
+        let mut x = Matrix::zeros(table.num_rows(), self.width);
+        let mut offset = 0;
         for spec in &self.fitted {
             match spec {
                 FittedSpec::Numeric { name, mean, std } => {
-                    let col = table.column(name).map_err(|e| LearnError::Encoding {
-                        detail: e.to_string(),
+                    let vals = table.column(name).and_then(|c| c.to_f64()).map_err(|e| {
+                        LearnError::Encoding {
+                            detail: e.to_string(),
+                        }
                     })?;
-                    let vals = col.to_f64().map_err(|e| LearnError::Encoding {
-                        detail: e.to_string(),
-                    })?;
-                    for (row, v) in rows.iter_mut().zip(vals) {
-                        let x = v.unwrap_or(*mean);
-                        row.push((x - mean) / std);
+                    for (i, v) in vals.into_iter().enumerate() {
+                        x.set(i, offset, (v.unwrap_or(*mean) - mean) / std);
                     }
+                    offset += 1;
                 }
                 FittedSpec::Categorical { name, encoder } => {
-                    let encoded = encoder.transform(table, name)?;
-                    for (row, mut e) in rows.iter_mut().zip(encoded) {
-                        row.append(&mut e);
+                    let cells = string_cells(table, name, "one-hot")?;
+                    for (i, cell) in cells.iter().enumerate() {
+                        if let Some(pos) = encoder.position(cell.as_deref()) {
+                            x.set(i, offset + pos, 1.0);
+                        }
                     }
+                    offset += encoder.width();
                 }
                 FittedSpec::Text { name, embedder } => {
-                    let col = table.column(name).map_err(|e| LearnError::Encoding {
-                        detail: e.to_string(),
-                    })?;
-                    let cells = col.as_str().ok_or_else(|| LearnError::Encoding {
-                        detail: format!("text column {name:?} must be a string column"),
-                    })?;
-                    for (row, cell) in rows.iter_mut().zip(cells) {
-                        let mut e = embedder.embed(cell.as_deref().unwrap_or(""));
-                        row.append(&mut e);
+                    let cells = string_cells(table, name, "text")?;
+                    let cols = offset..offset + embedder.dims;
+                    let mut memo = HashMap::new();
+                    for (i, cell) in cells.iter().enumerate() {
+                        let out = &mut x.row_mut(i)[cols.clone()];
+                        embedder.embed_into(cell.as_deref().unwrap_or(""), out, &mut memo);
                     }
+                    offset = cols.end;
                 }
             }
         }
-        Matrix::from_rows(&rows)
+        Ok(x)
     }
 
     /// Encodes features and labels into a [`ClassDataset`]. Rows whose label
@@ -267,7 +272,7 @@ impl FittedTableEncoder {
         let mut span = nde_trace::span("learners.encoder_transform");
         span.field("rows", table.num_rows());
         let x = self.transform_features(table)?;
-        let labels = label_strings(table, &self.label)?;
+        let labels = string_cells(table, &self.label, "label")?;
         let mut y = Vec::with_capacity(labels.len());
         for (i, label) in labels.iter().enumerate() {
             let label = label.as_deref().ok_or_else(|| LearnError::Encoding {
@@ -384,6 +389,47 @@ mod tests {
         assert!(enc.fit(&demo()).is_err());
         let enc = TableEncoder::new(vec![], "rating");
         assert!(enc.fit(&demo()).is_err()); // non-string label
+    }
+
+    #[test]
+    fn memoized_text_encoding_equals_per_row_embed() {
+        let letters = [
+            Some("Great GREAT great work!"),
+            Some("ΟΔΟΣ οδος Οδός"),
+            Some("İstanbul istanbul"),
+            Some("STRASSE straße Straße"),
+            Some("route 66, 66 and 7"),
+            Some("... !!! ---"),
+            Some(""),
+            None,
+            Some("a a a A b"),
+        ];
+        let n = letters.len();
+        let table = Table::builder()
+            .str_opt("letter", letters.iter().map(|l| l.map(String::from)))
+            .str("sentiment", vec!["positive"; n])
+            .build()
+            .unwrap();
+        // Two widths over one column: each text spec needs its own memo.
+        let specs = vec![
+            ColumnSpec::text("letter", 24),
+            ColumnSpec::text("letter", 7),
+        ];
+        let x = TableEncoder::new(specs, "sentiment")
+            .fit(&table)
+            .unwrap()
+            .transform_features(&table)
+            .unwrap();
+        let bits = |v: &[f64]| v.iter().map(|f| f.to_bits()).collect::<Vec<_>>();
+        for (i, letter) in letters.iter().enumerate() {
+            let text = letter.unwrap_or("");
+            let wide = SentenceEmbedder::new(24).embed(text);
+            let narrow = SentenceEmbedder::new(7).embed(text);
+            assert_eq!(bits(&x.row(i)[..24]), bits(&wide), "row {i}");
+            assert_eq!(bits(&x.row(i)[24..]), bits(&narrow), "row {i}");
+        }
+        assert_eq!(x.row(6), x.row(7)); // empty and null cells: zeros
+        assert!(x.row(5).iter().all(|&v| v == 0.0)); // punctuation only
     }
 
     #[test]

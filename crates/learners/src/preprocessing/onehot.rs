@@ -37,13 +37,20 @@ impl OneHotEncoder {
         self.categories.len()
     }
 
+    /// The hot position of one cell: `None` for nulls and unseen
+    /// categories, which encode to all zeros.
+    pub fn position(&self, cell: Option<&str>) -> Option<usize> {
+        let value = cell?;
+        self.categories
+            .binary_search_by(|c| c.as_str().cmp(value))
+            .ok()
+    }
+
     /// Encodes one cell.
     pub fn encode(&self, cell: Option<&str>) -> Vec<f64> {
         let mut out = vec![0.0; self.categories.len()];
-        if let Some(value) = cell {
-            if let Ok(pos) = self.categories.binary_search_by(|c| c.as_str().cmp(value)) {
-                out[pos] = 1.0;
-            }
+        if let Some(pos) = self.position(cell) {
+            out[pos] = 1.0;
         }
         out
     }

@@ -11,23 +11,46 @@
 //!   vector derived from its hash; a sentence embeds as the L2-normalized
 //!   sum. Sentences sharing words land close in cosine space, which is the
 //!   property the tutorial's sentiment task relies on.
+//!
+//! Both read a text as its tokens — maximal runs of alphanumeric
+//! characters, lowercased — and use a token only through the FNV-1a hash
+//! of its lowercased form. `for_each_token_hash` produces those hashes
+//! without allocating per token: ASCII tokens are lowercased byte by byte
+//! while hashing, and only non-ASCII tokens go through `str::to_lowercase`
+//! (which handles final sigma and multi-character lowercasings such as
+//! `İ`).
+//!
+//! A token's embedding vector is a pure function of that hash, so the
+//! table encoder keeps one memo from hash to vector per text column and
+//! call (`SentenceEmbedder::embed_into`). Keying the memo by the hash is
+//! exact by construction: two tokens with colliding hashes already receive
+//! the same vector without the memo, so a collision cannot change a
+//! result. Vectors are still added in token order, which keeps every sum —
+//! and so every embedding — bit-identical to the unmemoized computation.
 
-/// FNV-1a hash of a token (stable across runs and platforms).
-fn fnv1a(token: &str) -> u64 {
-    let mut hash = 0xcbf2_9ce4_8422_2325u64;
-    for b in token.bytes() {
-        hash ^= u64::from(b);
-        hash = hash.wrapping_mul(0x0000_0100_0000_01B3);
-    }
-    hash
+use std::collections::HashMap;
+
+/// FNV-1a hash of a token's bytes (stable across runs and platforms).
+fn fnv1a(bytes: impl Iterator<Item = u8>) -> u64 {
+    bytes.fold(0xcbf2_9ce4_8422_2325, |hash, b| {
+        (hash ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01B3)
+    })
 }
 
-/// Lowercases and splits on non-alphanumeric characters.
-pub fn tokenize(text: &str) -> Vec<String> {
-    text.split(|c: char| !c.is_alphanumeric())
-        .filter(|t| !t.is_empty())
-        .map(|t| t.to_lowercase())
-        .collect()
+/// Calls `f` with the FNV-1a hash of every lowercased token of `text`, in
+/// order. Tokens split on non-alphanumeric characters; empty tokens are
+/// skipped.
+fn for_each_token_hash(text: &str, mut f: impl FnMut(u64)) {
+    for token in text.split(|c: char| !c.is_alphanumeric()) {
+        if token.is_empty() {
+            continue;
+        }
+        f(if token.is_ascii() {
+            fnv1a(token.bytes().map(|b| b.to_ascii_lowercase()))
+        } else {
+            fnv1a(token.to_lowercase().bytes())
+        });
+    }
 }
 
 /// Feature-hashing bag-of-words vectorizer.
@@ -47,12 +70,11 @@ impl HashingVectorizer {
     /// reduce collision bias).
     pub fn embed(&self, text: &str) -> Vec<f64> {
         let mut v = vec![0.0f64; self.dims];
-        for token in tokenize(text) {
-            let h = fnv1a(&token);
+        for_each_token_hash(text, |h| {
             let bucket = (h % self.dims as u64) as usize;
             let sign = if (h >> 32) & 1 == 0 { 1.0 } else { -1.0 };
             v[bucket] += sign;
-        }
+        });
         l2_normalize(&mut v);
         v
     }
@@ -71,10 +93,10 @@ impl SentenceEmbedder {
         SentenceEmbedder { dims: dims.max(1) }
     }
 
-    /// Pseudo-random unit vector for one token, derived from its hash via
+    /// Pseudo-random unit vector for the token with hash `hash`, via
     /// SplitMix64 expansion and an approximate inverse-normal transform.
-    fn token_vector(&self, token: &str) -> Vec<f64> {
-        let mut state = fnv1a(token);
+    fn token_vector(&self, hash: u64) -> Vec<f64> {
+        let mut state = hash;
         let mut v = Vec::with_capacity(self.dims);
         for _ in 0..self.dims {
             state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
@@ -94,18 +116,31 @@ impl SentenceEmbedder {
     /// Embeds a sentence: normalized sum of token vectors. Empty text maps
     /// to the zero vector.
     pub fn embed(&self, text: &str) -> Vec<f64> {
-        let mut acc = vec![0.0f64; self.dims];
-        let tokens = tokenize(text);
-        if tokens.is_empty() {
-            return acc;
-        }
-        for token in tokens {
-            for (a, t) in acc.iter_mut().zip(self.token_vector(&token)) {
+        let mut out = vec![0.0f64; self.dims];
+        self.embed_into(text, &mut out, &mut HashMap::new());
+        out
+    }
+
+    /// [`embed`](Self::embed) written into `out` (which must hold `dims`
+    /// zeros), reading and filling `memo`, a map from token hash to token
+    /// vector. Reuse one memo across the texts of a batch so each distinct
+    /// token's vector is generated once; the memo must only ever be used
+    /// with embedders of the same `dims`.
+    pub(crate) fn embed_into(
+        &self,
+        text: &str,
+        out: &mut [f64],
+        memo: &mut HashMap<u64, Vec<f64>>,
+    ) {
+        for_each_token_hash(text, |h| {
+            let token = memo.entry(h).or_insert_with(|| self.token_vector(h));
+            for (a, t) in out.iter_mut().zip(token.iter()) {
                 *a += t;
             }
-        }
-        l2_normalize(&mut acc);
-        acc
+        });
+        // A text without tokens stays all zeros, which normalization leaves
+        // unchanged.
+        l2_normalize(out);
     }
 }
 
@@ -132,10 +167,29 @@ pub fn cosine(a: &[f64], b: &[f64]) -> f64 {
 mod tests {
     use super::*;
 
+    fn token_hashes(text: &str) -> Vec<u64> {
+        let mut hashes = Vec::new();
+        for_each_token_hash(text, |h| hashes.push(h));
+        hashes
+    }
+
     #[test]
     fn tokenizer_lowercases_and_splits() {
-        assert_eq!(tokenize("Hello, World! 42"), vec!["hello", "world", "42"]);
-        assert!(tokenize("...").is_empty());
+        let expect = |tokens: &[&str]| tokens.iter().map(|t| fnv1a(t.bytes())).collect::<Vec<_>>();
+        assert_eq!(
+            token_hashes("Hello, World! 42"),
+            expect(&["hello", "world", "42"])
+        );
+        assert!(token_hashes("...").is_empty());
+        assert!(token_hashes("").is_empty());
+        // Non-ASCII tokens lowercase like `str::to_lowercase`: word-final
+        // sigma, the two-char lowercase of `İ`, and `ß` kept as is.
+        assert_eq!(token_hashes("ΟΔΟΣ"), expect(&["οδος"]));
+        assert_eq!(token_hashes("İstanbul"), expect(&["i\u{307}stanbul"]));
+        assert_eq!(
+            token_hashes("STRASSE straße-x_y"),
+            expect(&["strasse", "straße", "x", "y"])
+        );
     }
 
     #[test]

@@ -43,6 +43,15 @@ pub fn datascope_importance(
             ),
         });
     }
+    if train.n_features() != valid.n_features() {
+        return Err(PipelineError::Invalid {
+            detail: format!(
+                "encoded training rows have {} features but validation rows have {}",
+                train.n_features(),
+                valid.n_features()
+            ),
+        });
+    }
     let src = traced
         .source_index(source)
         .ok_or_else(|| PipelineError::UnknownSource {
@@ -104,6 +113,30 @@ mod tests {
             datascope_importance(&traced, &train, &valid, 1, "t", t.num_rows()).unwrap();
         let direct = knn_shapley(&train, &valid, 1);
         assert_eq!(via_pipeline, direct);
+    }
+
+    #[test]
+    fn feature_width_mismatch_is_rejected() {
+        let t = Table::builder()
+            .float("x", [0.1, 5.1])
+            .int("y", [0, 1])
+            .build()
+            .unwrap();
+        let traced = Plan::source("t")
+            .run_traced(&sources(vec![("t", t.clone())]))
+            .unwrap();
+        let train = encoded(&traced.table);
+        let wide = ClassDataset::new(
+            Matrix::from_rows(&[vec![0.0, 1.0], vec![5.0, 1.0]]).unwrap(),
+            vec![0, 1],
+            2,
+        )
+        .unwrap();
+        let err = datascope_importance(&traced, &train, &wide, 1, "t", 2).unwrap_err();
+        assert!(
+            matches!(&err, PipelineError::Invalid { detail } if detail.contains("1 features")),
+            "{err:?}"
+        );
     }
 
     #[test]
